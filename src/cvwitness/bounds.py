@@ -2,13 +2,14 @@
 
 The central quantity is the partition bound B_I(X, P): the maximum of the
 quantumness bound over all witnesses that agree with (X, P) on within-block
-entries while the cross-block entries run free. Any state separable with
-respect to partition I satisfies G >= B_I(X, P), so a measured G below the
-bound certifies entanglement across I.
+entries while the cross-block entries run free. It has the closed form
+B_I(X, P) = sum over blocks b of B(X_bb, P_bb), attained by the
+block-diagonal witness. Any state separable with respect to partition I
+satisfies G >= B_I(X, P), so a measured G below the bound certifies
+entanglement across I.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -16,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    PD_FLOOR,
     PSD_TOL,
     NotPSD,
     SingularGradient,
@@ -30,10 +30,6 @@ from .partitions import (
     symmetric_bipartition_representatives,
 )
 from .states import CVState
-
-# An ascent certificate may trail the closed-form block-diagonal one by float
-# noise on a flat optimal face; within this slack the ascent one is preferred.
-_CERT_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +60,11 @@ class WitnessPair:
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
-    """Outcome of the inner maximization: value and the witness attaining it."""
+    """Partition bound and the block-diagonal witness attaining it."""
 
     value: float
     certificate_X: np.ndarray
     certificate_P: np.ndarray
-    iterations: int
-    converged: bool
 
 
 class Table1Row(NamedTuple):
@@ -91,125 +85,65 @@ def _min_eig(A: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def _feasible_start(M: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
-    """Strictly PD start agreeing with M off the mask, shrinking freed entries
-    toward zero if needed; None when the diagonal blocks are rank deficient
-    (then no strictly PD point with those fixed entries exists at all)."""
-    t = 1.0
-    for _ in range(60):
-        cand = np.where(mask, t * M, M)
-        if _min_eig(cand) > PD_FLOOR:
-            return cand
-        t *= 0.5
-    cand = np.where(mask, 0.0, M)
-    if _min_eig(cand) > PD_FLOOR:
-        return cand
-    return None
+def block_indices(p: Partition) -> list[np.ndarray]:
+    """0-based index arrays of the blocks of p."""
+    return [np.array(block, dtype=int) - 1 for block in p.blocks]
 
 
-def separability_bound(
-    w: WitnessPair,
-    p: Partition,
-    *,
-    max_iter: int = 10000,
-    grad_tol: float = 1e-9,
-    value_tol: float = 1e-12,
-    initial_step: float = 1.0,
-) -> BoundResult:
-    """Maximize the quantumness bound over the entries freed by partition p.
+def partition_bound(
+    X: np.ndarray, P: np.ndarray, blocks: list[np.ndarray], *, gradient: bool = False
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """B_I(X, P) = sum over blocks b of B(X_bb, P_bb), the one definition of B_I.
 
-    Projected gradient ascent with Armijo backtracking; the objective is
-    concave in the freed entries, so any stall is at the global maximum or on
-    the PSD boundary (the supremum is then approached from inside). Zeroing
-    the freed entries is itself always optimal, so that certificate backstops
-    the ascent: when the witness admits no strictly PD interior point (rank
-    deficient diagonal blocks) it is returned outright with converged=True.
-    The reported certificates keep every non-freed entry of (X, P) exactly.
+    Proof of the closed form: an I-separable state is a mixture of block
+    products, on which G splits into per-block terms tr(X_bb gxx_bb) +
+    tr(P_bb gpp_bb), each at least B(X_bb, P_bb); a product of per-block
+    minimizers attains every term, so no larger bound holds.
+
+    Returns (value, gX, gP). The gradient is assembled from per-block
+    gradients (cross-block entries have zero gradient) when gradient=True;
+    otherwise gX and gP are None and no gradient is computed.
+    """
+    value = 0.0
+    gX = np.zeros_like(X) if gradient else None
+    gP = np.zeros_like(P) if gradient else None
+    for idx in blocks:
+        ix = np.ix_(idx, idx)
+        A, B = X[ix], P[ix]
+        value += quantum_bound(A, B)
+        if gradient:
+            gX[ix], gP[ix] = _safe_gradient(A, B)
+    return value, gX, gP
+
+
+def _safe_gradient(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the quantumness bound, shifting degenerate blocks just
+    enough to regularize (iterates may sit on the PSD boundary)."""
+    eye = np.eye(A.shape[0])
+    for shift in (0.0, 1e-11, 1e-8, 1e-5, 1e-3):
+        try:
+            return quantum_bound_gradient(A + shift * eye, B + shift * eye)
+        except (SingularGradient, NotPSD):
+            continue
+    return np.zeros_like(A), np.zeros_like(B)
+
+
+def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
+    """Partition bound B_p(X, P) in closed form (see partition_bound).
+
+    The certificate is the witness with its cross-block entries zeroed: it
+    keeps every within-block entry of (X, P) exactly, stays PSD, and its
+    quantumness bound equals the returned value.
     """
     if w.n != p.n:
         raise ValueError(f"witness is {w.n}-mode but partition is over {p.n}")
     mask = free_mask(p).mask
-    if not mask.any():
-        return BoundResult(quantum_bound(w.X, w.P), w.X, w.P, 0, True)
-
-    # Zeroing the freed entries always attains the supremum (the bound splits
-    # into a sum of per-block bounds); kept as the guaranteed certificate.
     X0 = np.where(mask, 0.0, w.X)
     P0 = np.where(mask, 0.0, w.P)
-    block_value = quantum_bound(X0, P0)
-
-    Xc = _feasible_start(w.X, mask)
-    Pc = _feasible_start(w.P, mask)
-    if Xc is None or Pc is None:
-        # Empty PD interior (e.g. rank-one witnesses): the ascent cannot move,
-        # so return the closed-form optimum directly.
-        X0.flags.writeable = False
-        P0.flags.writeable = False
-        return BoundResult(block_value, X0, P0, 0, True)
-    value = quantum_bound(Xc, Pc)
-    recent: list[float] = []  # last few accepted improvements
-    streak = 0
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        try:
-            dX, dP = quantum_bound_gradient(Xc, Pc)
-        except SingularGradient:
-            converged = _cauchy_tail(recent, value)
-            break
-        gX = np.where(mask, dX, 0.0)
-        gP = np.where(mask, dP, 0.0)
-        gnorm2 = float(np.sum(gX * gX) + np.sum(gP * gP))
-        if np.sqrt(gnorm2) < grad_tol:
-            converged = True
-            break
-        step = initial_step
-        accepted = False
-        while step > 1e-14:
-            Xn = Xc + step * gX
-            Pn = Pc + step * gP
-            if _min_eig(Xn) <= PD_FLOOR or _min_eig(Pn) <= PD_FLOOR:
-                step *= 0.5
-                continue
-            vn = quantum_bound(Xn, Pn)
-            if vn >= value + 1e-4 * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # Stall on the PSD boundary: the supremum is approached from the
-            # interior; accept once the recent improvements have gone Cauchy.
-            converged = _cauchy_tail(recent, value)
-            break
-        gain = vn - value
-        recent.append(gain)
-        if len(recent) > 5:
-            recent.pop(0)
-        streak = streak + 1 if gain <= value_tol * max(1.0, abs(vn)) else 0
-        Xc, Pc, value = Xn, Pn, vn
-        if streak >= 5:
-            converged = True
-            break
-    else:
-        converged = False
-
-    # The ascent only ever touched freed entries, so its iterate is already an
-    # exact-certificate candidate; fall back to the block-diagonal optimum if
-    # the ascent was left behind (stall far from the flat optimal face).
-    if value >= block_value - _CERT_SLACK * max(1.0, abs(block_value)):
-        Xc.flags.writeable = False
-        Pc.flags.writeable = False
-        return BoundResult(value, Xc, Pc, iterations, converged)
     X0.flags.writeable = False
     P0.flags.writeable = False
-    return BoundResult(block_value, X0, P0, iterations, True)
-
-
-def _cauchy_tail(recent: list[float], value: float) -> bool:
-    if not recent:
-        return True
-    return max(recent) <= 1e-6 * max(1.0, abs(value))
+    value, _, _ = partition_bound(w.X, w.P, block_indices(p))
+    return BoundResult(value, X0, P0)
 
 
 def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float:
@@ -278,7 +212,7 @@ def table1_bounds(n: int) -> Table1Row:
 
     q: quantumness bound; a: analytic biseparable bound (n >= 3);
     b: best biseparable bound over bipartition representatives (n >= 3);
-    f: full-separability bound, equal to n(n-1) up to ascent tolerance.
+    f: full-separability bound, n(n-1) for this witness.
     """
     if not 2 <= n <= 8:
         raise ValueError(f"table covers 2 <= n <= 8, got {n}")
@@ -286,15 +220,10 @@ def table1_bounds(n: int) -> Table1Row:
     q = quantum_bound(w.X, w.P)
     a = analytic_biseparable_bound(n) if n >= 3 else None
     b = None
-    stalled = []
     if n >= 3:
-        results = [
-            separability_bound(w, rep) for rep in symmetric_bipartition_representatives(n)
-        ]
-        b = min(r.value for r in results)
-        stalled += [r for r in results if not r.converged]
-    f_result = separability_bound(w, Partition.singletons(n))
-    stalled += [] if f_result.converged else [f_result]
-    if stalled:
-        warnings.warn(f"{len(stalled)} ascent(s) hit the iteration cap for n={n}")
-    return Table1Row(float(q), a, b, float(f_result.value))
+        b = min(
+            separability_bound(w, rep).value
+            for rep in symmetric_bipartition_representatives(n)
+        )
+    f = separability_bound(w, Partition.singletons(n)).value
+    return Table1Row(float(q), a, b, float(f))

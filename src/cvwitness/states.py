@@ -209,6 +209,29 @@ _KLEV4_SPP = [
 ]
 
 
+# Reference witness certifying genuine four-partite entanglement of klev4.
+GENUINE_X = np.array(
+    [
+        [0.39234, -0.20267, 0.24691, 0.30527],
+        [-0.20267, 0.88526, 0.09450, 0.09080],
+        [0.24691, 0.09450, 0.58391, 0.20795],
+        [0.30527, 0.09080, 0.20795, 0.39504],
+    ]
+)
+GENUINE_P = np.array(
+    [
+        [0.22992, -0.13140, -0.00477, -0.11723],
+        [-0.13140, 0.52598, -0.32316, -0.16699],
+        [-0.00477, -0.32316, 0.39949, 0.06971],
+        [-0.11723, -0.16699, 0.06971, 0.31242],
+    ]
+)
+GENUINE_X.flags.writeable = False
+GENUINE_P.flags.writeable = False
+
+BUILTIN_STATES = ("ppt4", "klev4", "vacuum4")
+
+
 def builtin_state(name: str) -> CVState:
     """Bundled example states.
 
@@ -216,6 +239,8 @@ def builtin_state(name: str) -> CVState:
     partial transpose yet entangled across every bipartition; no error model.
     "klev4": measured four-mode covariance with per-element standard
     deviations (5-decimal published values).
+    "vacuum4": separable negative control, vacuum blocks with uniform 1%
+    errors.
     """
     if name == "ppt4":
         return make_state(_PPT4_GXX, _PPT4_GPP, label="ppt4")
@@ -223,4 +248,9 @@ def builtin_state(name: str) -> CVState:
         return make_state(
             _KLEV4_GXX, _KLEV4_GPP, _KLEV4_SXX, _KLEV4_SPP, label="klev4"
         )
-    raise ValueError(f"unknown builtin state {name!r} (try 'ppt4' or 'klev4')")
+    if name == "vacuum4":
+        sig = 0.01 * np.ones((4, 4))
+        return make_state(0.5 * np.eye(4), 0.5 * np.eye(4), sig, sig, label="vacuum4")
+    raise ValueError(
+        f"unknown builtin state {name!r} (try one of {', '.join(BUILTIN_STATES)})"
+    )

@@ -22,10 +22,11 @@ import numpy as np
 from .bounds import (
     BoundResult,
     WitnessPair,
+    block_indices,
     evaluate_G,
+    partition_bound,
     separability_bound,
 )
-from .linalg import NotPSD, SingularGradient, quantum_bound, quantum_bound_gradient
 from .partitions import Partition, bipartitions
 from .states import CVState
 
@@ -136,10 +137,6 @@ def _batch_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_indices(p: Partition) -> list[np.ndarray]:
-    return [np.array(block, dtype=int) - 1 for block in p.blocks]
-
-
 def random_rank_one_search(
     s: CVState,
     p: Partition,
@@ -163,7 +160,7 @@ def random_rank_one_search(
     n = s.n
     if p.n != n:
         raise ValueError(f"state is {n}-mode but partition is over {p.n}")
-    blocks = _block_indices(p)
+    blocks = block_indices(p)
     gxx, gpp = s.gamma_xx, s.gamma_pp
     if not no_error:
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
@@ -214,36 +211,6 @@ def random_rank_one_search(
             p, evaluate_G(win, s), None, cert.value, None, None, win, cert
         )
     return violation_score(win, s, p)
-
-
-def _partition_bound_grad(
-    X: np.ndarray, P: np.ndarray, blocks: list[np.ndarray]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """B_I as the sum of per-block bounds, with its gradient assembled from
-    per-block gradients (cross-block entries have zero outer gradient)."""
-    value = 0.0
-    gX = np.zeros_like(X)
-    gP = np.zeros_like(P)
-    for idx in blocks:
-        ix = np.ix_(idx, idx)
-        A, B = X[ix], P[ix]
-        value += quantum_bound(A, B)
-        gA, gB = _safe_gradient(A, B)
-        gX[ix] = gA
-        gP[ix] = gB
-    return value, gX, gP
-
-
-def _safe_gradient(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the quantumness bound, shifting degenerate blocks just
-    enough to regularize (iterates may sit on the PSD boundary)."""
-    eye = np.eye(A.shape[0])
-    for shift in (0.0, 1e-11, 1e-8, 1e-5, 1e-3):
-        try:
-            return quantum_bound_gradient(A + shift * eye, B + shift * eye)
-        except (SingularGradient, NotPSD):
-            continue
-    return np.zeros_like(A), np.zeros_like(B)
 
 
 def _rescale_to_C(
@@ -317,7 +284,7 @@ def optimize_witness(
         _require_model(s)
     if p.n != s.n:
         raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
-    blocks = _block_indices(p)
+    blocks = block_indices(p)
     if use_model:
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
     else:
@@ -326,7 +293,7 @@ def optimize_witness(
 
     def objective(X: np.ndarray, P: np.ndarray) -> tuple[float, float]:
         sigma = float(np.sqrt(np.sum(X**2 * sxx2) + np.sum(P**2 * spp2)))
-        bound, _, _ = _partition_bound_grad(X, P, blocks)
+        bound, _, _ = partition_bound(X, P, blocks)
         return cfg.s_level * sigma - bound, sigma
 
     value, sigma = objective(X, P)
@@ -336,7 +303,7 @@ def optimize_witness(
     for it in range(1, max_iter + 1):
         if callback is not None:
             callback(it, X, P, value)
-        bound, bX, bP = _partition_bound_grad(X, P, blocks)
+        bound, bX, bP = partition_bound(X, P, blocks, gradient=True)
         if sigma > 0:
             gX = cfg.s_level * X * sxx2 / sigma - bX
             gP = cfg.s_level * P * spp2 / sigma - bP
@@ -415,7 +382,7 @@ def genuine_search(
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
     bips = bipartitions(s.n)
-    blocks_of = [_block_indices(p) for p in bips]
+    blocks_of = [block_indices(p) for p in bips]
     sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
     gxx, gpp = s.gamma_xx, s.gamma_pp
     target = cfg.s_level
@@ -427,7 +394,7 @@ def genuine_search(
             return None
         return np.array(
             [
-                (_partition_bound_grad(X, P, blocks)[0] - G) / sigma
+                (partition_bound(X, P, blocks)[0] - G) / sigma
                 for blocks in blocks_of
             ]
         )
@@ -463,7 +430,7 @@ def genuine_search(
             for k, blocks in enumerate(blocks_of):
                 if cur[k] >= low + 0.2:
                     continue
-                bval, bX, bP = _partition_bound_grad(X, P, blocks)
+                bval, bX, bP = partition_bound(X, P, blocks, gradient=True)
                 gX += (bX - gxx) / sigma - (bval - G) * dsX / sigma**2
                 gP += (bP - gpp) / sigma - (bval - G) * dsP / sigma**2
                 active += 1
@@ -522,8 +489,6 @@ def report_to_dict(r: ViolationReport) -> dict:
             "value": r.certificate.value,
             "X": r.certificate.certificate_X.tolist(),
             "P": r.certificate.certificate_P.tolist(),
-            "iterations": r.certificate.iterations,
-            "converged": r.certificate.converged,
         },
         "converged": r.converged,
     }

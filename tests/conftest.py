@@ -4,25 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvwitness import WitnessPair, builtin_state, make_state
-
-# Witness certifying genuine four-partite entanglement of the klev4 state.
-GENUINE_X = np.array(
-    [
-        [0.39234, -0.20267, 0.24691, 0.30527],
-        [-0.20267, 0.88526, 0.09450, 0.09080],
-        [0.24691, 0.09450, 0.58391, 0.20795],
-        [0.30527, 0.09080, 0.20795, 0.39504],
-    ]
-)
-GENUINE_P = np.array(
-    [
-        [0.22992, -0.13140, -0.00477, -0.11723],
-        [-0.13140, 0.52598, -0.32316, -0.16699],
-        [-0.00477, -0.32316, 0.39949, 0.06971],
-        [-0.11723, -0.16699, 0.06971, 0.31242],
-    ]
-)
+from cvwitness import WitnessPair, builtin_state
+from cvwitness.states import GENUINE_P, GENUINE_X
 
 # Reference optima: per bipartition, the attained bound and the freed entries
 # of X and P at the maximum (upper triangle, 0-based).
@@ -84,8 +67,7 @@ def ppt4():
 
 @pytest.fixture(scope="session")
 def vacuum4():
-    sig = 0.01 * np.ones((4, 4))
-    return make_state(0.5 * np.eye(4), 0.5 * np.eye(4), sig, sig, label="vacuum4")
+    return builtin_state("vacuum4")
 
 
 @pytest.fixture(scope="session")

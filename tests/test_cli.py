@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvwitness.cli import main
-from cvwitness.states import save_state
+from cvwitness.states import make_state, save_state
 
 
 def run(capsys, *argv: str):
@@ -74,6 +74,26 @@ def test_bound_usage_errors(capsys):
     assert code == 2
 
 
+def test_removed_ascent_flags_are_usage_errors(capsys):
+    for flag in ("--max-iter", "--grad-tol", "--step"):
+        with pytest.raises(SystemExit) as info:
+            main(["bound", "--symmetric-witness", "4", "--partition", "12|34", flag, "5"])
+        assert info.value.code == 2
+    capsys.readouterr()
+
+
+def test_bound_json_has_no_ascent_fields(capsys, tmp_path):
+    dest = tmp_path / "bound.json"
+    code, out, _ = run(
+        capsys, "bound", "--symmetric-witness", "4", "--partition", "12|34",
+        "--json", str(dest),
+    )
+    assert code == 0
+    assert "iterations" not in out
+    doc = json.loads(dest.read_text())
+    assert "iterations" not in doc and "converged" not in doc
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "--state", "ppt4", "--partition", "1|234")
     assert code == 1
@@ -108,6 +128,32 @@ def test_search_requires_error_model(capsys):
     code, _, err = run(capsys, "search", "--state", "ppt4", "--partition", "12|34")
     assert code == 2
     assert "no-error" in err
+
+
+def test_search_margin_mode_refuses_unphysical_state(capsys, tmp_path):
+    # 0.3 I lies below the vacuum 0.5 I: raw margins certify nothing here.
+    sig = 0.01 * np.ones((3, 3))
+    path = tmp_path / "unphysical.json"
+    save_state(make_state(0.3 * np.eye(3), 0.3 * np.eye(3), sig, sig), path)
+    dest = tmp_path / "out.json"
+    for extra in (
+        ["--partition", "1|23", "--method", "random", "--trials", "10000"],
+        ["--partition", "1|23", "--method", "optimize"],
+        ["--all-bipartitions"],
+    ):
+        code, out, _ = run(
+            capsys, "search", "--state", str(path), "--no-error", *extra,
+            "--json", str(dest),
+        )
+        assert code == 0, extra
+        assert "not physical" in out and "inconclusive" in out
+        assert "certified across" not in out
+        assert json.loads(dest.read_text()) == []
+    code, _, err = run(
+        capsys, "search", "--state", str(path), "--no-error", "--genuine"
+    )
+    assert code == 2
+    assert "error model" in err
 
 
 def test_search_margin_mode_detects_ppt(capsys):

@@ -142,6 +142,16 @@ def test_builtin_klev4_properties(klev4):
     assert low == pytest.approx(0.4437, abs=5e-4)
 
 
+def test_builtin_vacuum4_control():
+    vac = builtin_state("vacuum4")
+    assert vac.n == 4 and vac.label == "vacuum4"
+    assert np.array_equal(vac.gamma_xx, 0.5 * np.eye(4))
+    assert np.array_equal(vac.gamma_pp, 0.5 * np.eye(4))
+    assert np.array_equal(vac.sigma_xx, 0.01 * np.ones((4, 4)))
+    ok, low = is_physical(vac)
+    assert ok and low == pytest.approx(0.5, abs=1e-12)
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ValueError):
         builtin_state("nope")

@@ -26,6 +26,7 @@ from .linalg import (
 )
 from .partitions import (
     Partition,
+    PartitionError,
     free_mask,
     symmetric_bipartition_representatives,
 )
@@ -168,9 +169,12 @@ def lmi_separability_test(
     diagonal sign matrix E constant on blocks. Enumerates the 2^(k-1)
     patterns (global sign is irrelevant; the first block is fixed to +1) and
     returns (violated, most negative eigenvalue found, per-mode worst pattern).
+    The block count is capped at 12 to keep the enumeration tractable.
     """
     if s.n != p.n:
         raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
+    if p.k > 12:
+        raise PartitionError(f"the LMI test needs at most 12 blocks, got {p.k}")
     n = s.n
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = s.gamma_xx

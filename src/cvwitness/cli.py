@@ -120,9 +120,14 @@ def _threads(args: argparse.Namespace) -> int | None:
     env = os.environ.get("CVWITNESS_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"CVWITNESS_THREADS must be an integer, got {env!r}")
+        if threads < 1:
+            raise ValueError(f"CVWITNESS_THREADS must be >= 1, got {threads}")
+        return threads
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     return args.threads
 
 
@@ -181,19 +186,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     state = _load_cli_state(args.state)
     n = state.n
+    if args.partition:
+        parts = [_parse_partition_arg(args.partition, n)]
+    else:
+        parts = bipartitions(n)
     physical, smallest = is_physical(state)
     print(
         f"state {state.label or args.state}: "
         f"{'physical' if physical else 'NOT physical'} "
         f"(min symplectic eigenvalue {smallest:.6f}, needs >= 0.5)"
     )
-    if args.partition:
-        parts = [_parse_partition_arg(args.partition, n)]
-    else:
-        parts = bipartitions(n)
     certified = False
     results = []
     for p in parts:
+        violated, min_eig, pattern = lmi_separability_test(state, p)
         verdicts = []
         if p.k == 1:
             pt_blocks = []
@@ -206,7 +212,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             pt = partial_transpose(state, block)
             pt_ok, pt_min = is_physical(pt)
             verdicts.append((f"PT {''.join(map(str, block)) if n <= 9 else block}", pt_ok, pt_min))
-        violated, min_eig, pattern = lmi_separability_test(state, p)
         row = {
             "partition": p.text,
             "lmi_violated": violated,
@@ -295,16 +300,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     # Rank-one draws cannot reach the matrix witnesses some states need, so
     # margin mode defaults to the convex search.
     method = args.method or ("optimize" if args.no_error else "random")
-    reports = []
-    for p in parts:
-        if method == "optimize":
-            reports.append(optimize_witness(state, p, cfg, no_error=args.no_error))
-        else:
-            reports.append(
-                random_rank_one_search(
-                    state, p, cfg, threads=threads, no_error=args.no_error
-                )
-            )
+    if method == "optimize":
+        reports = [
+            optimize_witness(state, p, cfg, no_error=args.no_error) for p in parts
+        ]
+    else:
+        reports = random_rank_one_search(
+            state, parts, cfg, threads=threads, no_error=args.no_error
+        )
     print(reports_table(reports))
     hits = [r for r in reports if _certified(r, s_level)]
     if hits:
@@ -489,7 +492,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="witness search method (default: random; optimize with --no-error)",
     )
-    s.add_argument("--trials", type=int, default=10**6)
+    s.add_argument(
+        "--trials",
+        type=int,
+        default=10**6,
+        help="random rank-one witnesses drawn; one set scores every partition",
+    )
     s.add_argument("--seed", type=int, default=0)
     s.add_argument(
         "--s-level",

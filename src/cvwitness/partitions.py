@@ -141,10 +141,13 @@ def bipartitions(n: int) -> list[Partition]:
     """The 2^(n-1) - 1 two-block partitions, smaller blocks enumerated first.
 
     Order matches the conventional listing 1|234, 2|134, ..., 12|34, 13|24,
-    14|23: ascending size of the smaller block, then lexicographic.
+    14|23: ascending size of the smaller block, then lexicographic. n is
+    capped at 12, as in all_partitions, to keep the list tractable.
     """
     if n < 2:
         raise PartitionError(f"bipartitions need n >= 2, got {n}")
+    if n > 12:
+        raise PartitionError(f"bipartitions need n <= 12, got {n}")
     modes = range(1, n + 1)
     out = []
     for size in range(1, n // 2 + 1):

@@ -129,7 +129,11 @@ def violation_score(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport
 
 
 def _resolve_threads(threads: int | None) -> int:
-    return max(1, threads if threads is not None else os.cpu_count() or 1)
+    if threads is None:
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _batch_rng(seed: int, stream: int) -> np.random.Generator:
@@ -137,35 +141,55 @@ def _batch_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _quad(V: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Row-wise quadratic forms v_t^T A v_t.
+
+    Two two-operand einsums: unlike a matmul, they start no BLAS threads,
+    which would pile onto the search's own thread pool.
+    """
+    return np.einsum("tj,tj->t", np.einsum("ti,ij->tj", V, A), V)
+
+
 def random_rank_one_search(
     s: CVState,
-    p: Partition,
+    p: Partition | Sequence[Partition],
     cfg: SearchConfig = SearchConfig(),
     *,
     threads: int | None = None,
     no_error: bool = False,
-) -> ViolationReport:
+) -> ViolationReport | list[ViolationReport]:
     """Best violation over cfg.trials random rank-one witnesses X=hh^T, P=gg^T.
 
-    Trials are drawn in fixed 65536-trial batches, each from its own
-    counter-based stream keyed by (seed, batch), and scored vectorized with
-    the closed-form rank-one bound. The merge takes the maximal score with
-    the lowest global trial index on ties, so the result is identical for
-    any thread count. The winner is rescored through separability_bound.
-    With no_error=True the error model is ignored and trials are ranked by
-    the raw margin B_I - G instead of the significance level.
+    p is one partition, which returns one report, or a sequence of
+    partitions, which returns one report per partition in that order. One
+    set of trials scores every partition: trials are drawn in fixed
+    65536-trial batches, each from its own counter-based stream keyed by
+    (seed, batch), and each batch computes its draws, G and sigma once; only
+    the closed-form rank-one bound (block sums of h*g) is partition-specific.
+    The results therefore equal those of separate calls, one per partition.
+    The merge takes, per partition, the maximal score with the lowest global
+    trial index on ties, so the result is identical for any thread count.
+    Each winner is rescored through separability_bound. With no_error=True
+    the error model is ignored and trials are ranked by the raw margin
+    B_I - G instead of the significance level.
     """
+    single = isinstance(p, Partition)
+    parts = [p] if single else list(p)
     if not no_error:
         _require_model(s)
     n = s.n
-    if p.n != n:
-        raise ValueError(f"state is {n}-mode but partition is over {p.n}")
-    blocks = block_indices(p)
+    for q in parts:
+        if q.n != n:
+            raise ValueError(f"state is {n}-mode but partition is over {q.n}")
+    workers = _resolve_threads(threads)
+    if not parts:
+        return []
+    blocks_of = [block_indices(q) for q in parts]
     gxx, gpp = s.gamma_xx, s.gamma_pp
     if not no_error:
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
 
-    def run_batch(b: int) -> tuple[float, int, np.ndarray, np.ndarray]:
+    def run_batch(b: int) -> list[tuple[float, int, np.ndarray, np.ndarray]]:
         size = min(_BATCH, cfg.trials - b * _BATCH)
         gen = _batch_rng(cfg.seed, b)
         if cfg.distribution == "normal":
@@ -174,43 +198,48 @@ def random_rank_one_search(
             Z = gen.uniform(-1.0, 1.0, (size, 2 * n))
         H, G_ = Z[:, :n], Z[:, n:]
         prod = H * G_
-        bound = np.zeros(size)
-        for idx in blocks:
-            bound += np.abs(prod[:, idx].sum(axis=1))
-        gval = np.einsum("ti,ij,tj->t", H, gxx, H) + np.einsum(
-            "ti,ij,tj->t", G_, gpp, G_
-        )
-        if no_error:
-            score = bound - gval
-        else:
+        gval = _quad(H, gxx) + _quad(G_, gpp)
+        if not no_error:
             H2, G2 = H**2, G_**2
-            var = np.einsum("ti,ij,tj->t", H2, sxx2, H2) + np.einsum(
-                "ti,ij,tj->t", G2, spp2, G2
-            )
-            score = np.full(size, -np.inf)
+            var = _quad(H2, sxx2) + _quad(G2, spp2)
+            del H2, G2
             ok = var > 0
-            score[ok] = (bound[ok] - gval[ok]) / np.sqrt(var[ok])
-        k = int(np.argmax(score))
-        return float(score[k]), b * _BATCH + k, H[k].copy(), G_[k].copy()
+            scale = np.sqrt(np.where(ok, var, 1.0))
+        best = []
+        for blocks in blocks_of:
+            bound = np.zeros(size)
+            for idx in blocks:
+                bound += np.abs(prod[:, idx].sum(axis=1))
+            if no_error:
+                score = bound - gval
+            else:
+                score = np.where(ok, (bound - gval) / scale, -np.inf)
+            k = int(np.argmax(score))
+            best.append((float(score[k]), b * _BATCH + k, H[k].copy(), G_[k].copy()))
+        return best
 
     batches = range((cfg.trials + _BATCH - 1) // _BATCH)
-    workers = _resolve_threads(threads)
     if workers == 1:
         results = [run_batch(b) for b in batches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_batch, batches))
-    best = max(results, key=lambda r: (r[0], -r[1]))
-    if best[0] == -np.inf:
-        raise ZeroSigma("every trial had zero sigma; check the error model")
-    _, _, h, g = best
-    win = WitnessPair(np.outer(h, h), np.outer(g, g))
-    if no_error:
-        cert = separability_bound(win, p)
-        return ViolationReport(
-            p, evaluate_G(win, s), None, cert.value, None, None, win, cert
-        )
-    return violation_score(win, s, p)
+    reports = []
+    for j, q in enumerate(parts):
+        score, _, h, g = max((r[j] for r in results), key=lambda r: (r[0], -r[1]))
+        if score == -np.inf:
+            raise ZeroSigma("every trial had zero sigma; check the error model")
+        win = WitnessPair(np.outer(h, h), np.outer(g, g))
+        if no_error:
+            cert = separability_bound(win, q)
+            reports.append(
+                ViolationReport(
+                    q, evaluate_G(win, s), None, cert.value, None, None, win, cert
+                )
+            )
+        else:
+            reports.append(violation_score(win, s, q))
+    return reports[0] if single else reports
 
 
 def _rescale_to_C(

@@ -250,6 +250,46 @@ def test_search_rejects_bad_thread_env(capsys, monkeypatch):
     assert "CVWITNESS_THREADS" in err
 
 
+def test_search_all_bipartitions_json_thread_invariant(capsys, tmp_path):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    args = ("search", "--state", "klev4", "--all-bipartitions", "--trials", "131075")
+    run(capsys, *args, "--threads", "1", "--json", str(one))
+    run(capsys, *args, "--threads", "2", "--json", str(two))
+    assert len(json.loads(one.read_text())) == 7
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+def test_search_rejects_thread_count_below_one(capsys, monkeypatch, flag, env):
+    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "10"]
+    if flag is not None:
+        argv += ["--threads", flag]
+    if env is not None:
+        monkeypatch.setenv("CVWITNESS_THREADS", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert ("CVWITNESS_THREADS" if env else "--threads") in err
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--all-bipartitions", "--trials", "10"],
+        ["check"],
+        ["check", "--partition", "full"],
+    ],
+)
+def test_enumerations_capped_at_twelve_modes(capsys, tmp_path, argv):
+    g = 0.5 * np.eye(13)
+    path = tmp_path / "s13.json"
+    save_state(make_state(g, g, np.full((13, 13), 0.01), np.full((13, 13), 0.01)), path)
+    code, _, err = run(capsys, argv[0], "--state", str(path), *argv[1:])
+    assert code == 2
+    assert "12" in err and "got 13" in err
+
+
 def test_search_state_from_file(capsys, tmp_path, klev4):
     path = tmp_path / "s.json"
     save_state(klev4, path)

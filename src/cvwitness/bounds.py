@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .linalg import (
     SingularGradient,
     quantum_bound,
     quantum_bound_gradient,
+    quantum_bound_gradient_stack,
+    quantum_bound_stack,
     symmetrize,
 )
 from .partitions import (
@@ -91,9 +93,30 @@ def block_indices(p: Partition) -> list[np.ndarray]:
     return [np.array(block, dtype=int) - 1 for block in p.blocks]
 
 
+class BlockPlan:
+    """The blocks of one or more partitions, gathered by block size.
+
+    Each group holds the gather indices that stack every block of one size
+    as a (g, k, k) array, X[rows, cols], plus the partition each block
+    belongs to and its position there. A search builds its plan once.
+    """
+
+    def __init__(self, partitions: Sequence[Partition]):
+        by_size: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+        for j, p in enumerate(partitions):
+            for i, idx in enumerate(block_indices(p)):
+                by_size.setdefault(idx.size, []).append((j, i, idx))
+        self.count = len(partitions)
+        self.width = max((p.k for p in partitions), default=0)
+        self.groups = []
+        for entries in by_size.values():
+            owner, pos, idx = (np.array(column) for column in zip(*entries))
+            self.groups.append((idx[:, :, None], idx[:, None, :], owner, pos))
+
+
 def partition_bound(
-    X: np.ndarray, P: np.ndarray, blocks: list[np.ndarray], *, gradient: bool = False
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    X: np.ndarray, P: np.ndarray, plan: BlockPlan, *, gradient: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """B_I(X, P) = sum over blocks b of B(X_bb, P_bb), the one definition of B_I.
 
     Proof of the closed form: an I-separable state is a mixture of block
@@ -101,30 +124,40 @@ def partition_bound(
     tr(P_bb gpp_bb), each at least B(X_bb, P_bb); a product of per-block
     minimizers attains every term, so no larger bound holds.
 
-    Returns (value, gX, gP). The gradient is assembled from per-block
-    gradients (cross-block entries have zero gradient) when gradient=True;
-    otherwise gX and gP are None and no gradient is computed.
+    Returns (values, gX, gP), values[j] being B_I for the j-th partition of
+    the plan. Each block size takes one stacked kernel call, and the block
+    terms are added in block order, so every value has the bits of a sum of
+    one quantum_bound call per block. With gradient=True, gX[j] and gP[j]
+    are assembled from the per-block gradients (cross-block entries have
+    zero gradient); otherwise they are None and no gradient is computed.
     """
-    value = 0.0
-    gX = np.zeros_like(X) if gradient else None
-    gP = np.zeros_like(P) if gradient else None
-    for idx in blocks:
-        ix = np.ix_(idx, idx)
-        A, B = X[ix], P[ix]
-        value += quantum_bound(A, B)
+    terms = np.zeros((plan.width, plan.count))
+    gX = np.zeros((plan.count,) + X.shape) if gradient else None
+    gP = np.zeros((plan.count,) + P.shape) if gradient else None
+    for rows, cols, owner, pos in plan.groups:
+        A, B = X[rows, cols], P[rows, cols]
+        terms[pos, owner] = quantum_bound_stack(A, B)
         if gradient:
-            gX[ix], gP[ix] = _safe_gradient(A, B)
-    return value, gX, gP
+            dA, dB, singular = quantum_bound_gradient_stack(A, B)
+            for i in np.flatnonzero(singular):
+                dA[i], dB[i] = _safe_gradient(A[i], B[i])
+            gX[owner[:, None, None], rows, cols] = dA
+            gP[owner[:, None, None], rows, cols] = dB
+    values = np.zeros(plan.count)
+    for row in terms:
+        values += row
+    return values, gX, gP
 
 
 def _safe_gradient(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the quantumness bound, shifting degenerate blocks just
-    enough to regularize (iterates may sit on the PSD boundary)."""
+    """Gradient of the quantumness bound for a block whose unshifted gradient
+    is singular, shifting it just enough to regularize (iterates may sit on
+    the PSD boundary)."""
     eye = np.eye(A.shape[0])
-    for shift in (0.0, 1e-11, 1e-8, 1e-5, 1e-3):
+    for shift in (1e-11, 1e-8, 1e-5, 1e-3):
         try:
             return quantum_bound_gradient(A + shift * eye, B + shift * eye)
-        except (SingularGradient, NotPSD):
+        except SingularGradient:
             continue
     return np.zeros_like(A), np.zeros_like(B)
 
@@ -143,8 +176,8 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     P0 = np.where(mask, 0.0, w.P)
     X0.flags.writeable = False
     P0.flags.writeable = False
-    value, _, _ = partition_bound(w.X, w.P, block_indices(p))
-    return BoundResult(value, X0, P0)
+    values, _, _ = partition_bound(w.X, w.P, BlockPlan([p]))
+    return BoundResult(float(values[0]), X0, P0)
 
 
 def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float:

@@ -1,5 +1,6 @@
 """Dense symmetric-matrix primitives: eigendecompositions, PSD square roots,
-symplectic spectra, and the quantumness bound with its analytic gradient.
+symplectic spectra, and the quantumness bound with its analytic gradient, for
+one pair of matrices or for stacks of equal-size pairs.
 
 All matrices are real, symmetric, dense, and small (n <= 32).  Units are the
 dimensionless ones used throughout the package: vacuum variance 1/2.
@@ -85,26 +86,109 @@ def sqrt_psd(A: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
+def _mT(A: np.ndarray) -> np.ndarray:
+    return A.transpose(0, 2, 1)
+
+
+def _pair_stack(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # What symmetrize does for one matrix, for two equal (m, k, k) stacks.
+    X = np.asarray(X, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape != P.shape:
+        raise ValueError(
+            f"expected two (m, k, k) stacks, got {X.shape} and {P.shape}"
+        )
+    if not (np.isfinite(X).all() and np.isfinite(P).all()):
+        raise ValueError("matrix contains non-finite entries")
+    return (X + _mT(X)) / 2.0, (P + _mT(P)) / 2.0
+
+
+def quantum_bound_stack(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """B(X_i, P_i) for each pair of two (m, k, k) stacks, as an (m,) array.
+
+    One eigh and two eigvalsh calls per stack; each matrix gets the same bits
+    as a call on it alone. For k = 1, B = sqrt(sqrt(x) p sqrt(x)) directly,
+    which is bit-identical to the eigen path. Raises NotPSD for the first
+    matrix with an eigenvalue below -PSD_TOL, in X before P.
+    """
+    X, P = _pair_stack(X, P)
+    if X.shape[1] == 1:
+        wX, wP = X[:, :, 0], P[:, :, 0]
+    else:
+        wX, VX = np.linalg.eigh(X)
+        wP = np.linalg.eigvalsh(P)
+    bad = (wX[:, 0] < -PSD_TOL) | (wP[:, 0] < -PSD_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if wX[i, 0] < -PSD_TOL:
+            raise NotPSD(wX[i, 0], "sqrt_psd argument")
+        raise NotPSD(wP[i, 0], "quantum_bound second argument")
+    rX = np.sqrt(np.clip(wX, 0.0, None))
+    if X.shape[1] == 1:
+        return np.sqrt(np.clip(rX * P[:, :, 0] * rX, 0.0, None))[:, 0]
+    sX = (VX * rX[:, None, :]) @ _mT(VX)
+    inner = np.clip(np.linalg.eigvalsh(sX @ P @ sX), 0.0, None)
+    # The square root amplifies eigenvalue rounding noise near zero
+    # (sqrt(1e-15) ~ 3e-8); components 13 orders below the top are noise.
+    inner[inner < 1e-13 * inner[:, -1:]] = 0.0
+    return np.sqrt(inner).sum(axis=1)
+
+
 def quantum_bound(X: np.ndarray, P: np.ndarray) -> float:
     """The quantumness bound B(X, P) = tr sqrt(sqrt(X) P sqrt(X)).
 
     Lower bound on tr(X gxx) + tr(P gpp) over all physical covariance blocks;
-    symmetric in its arguments and defined for all PSD pairs.
+    symmetric in its arguments and defined for all PSD pairs. The one-matrix
+    case of quantum_bound_stack.
     """
     X = symmetrize(X)
     P = symmetrize(P)
     if X.shape != P.shape:
         raise ValueError(f"dimension mismatch: {X.shape} vs {P.shape}")
-    sX = sqrt_psd(X)
-    wP = np.linalg.eigvalsh(P)
-    if wP[0] < -PSD_TOL:
-        raise NotPSD(wP[0], "quantum_bound second argument")
-    inner = np.clip(np.linalg.eigvalsh(sX @ P @ sX), 0.0, None)
-    if inner.size and inner[-1] > 0.0:
-        # The square root amplifies eigenvalue rounding noise near zero
-        # (sqrt(1e-15) ~ 3e-8); components 13 orders below the top are noise.
-        inner[inner < 1e-13 * inner[-1]] = 0.0
-    return float(np.sqrt(inner).sum())
+    return float(quantum_bound_stack(X[None], P[None])[0])
+
+
+def _half_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
+    # 1/2 sqrt(A) (sqrt(A) B sqrt(A))^{-1/2} sqrt(A) per matrix, with the
+    # smallest eigenvalues of A and of sqrt(A) B sqrt(A). Lanes at or below
+    # PD_FLOOR run on placeholder eigenvalues of 1, so no sqrt or division
+    # sees them; their result is meaningless.
+    wA, VA = np.linalg.eigh(A)
+    ok = wA[:, :1] > PD_FLOOR
+    sA = (VA * np.sqrt(np.where(ok, wA, 1.0))[:, None, :]) @ _mT(VA)
+    w, V = np.linalg.eigh(sA @ B @ sA)
+    ok &= w[:, :1] > PD_FLOOR
+    inv_root = (V / np.sqrt(np.where(ok, w, 1.0))[:, None, :]) @ _mT(V)
+    M = 0.5 * sA @ inv_root @ sA
+    return (M + _mT(M)) / 2.0, wA[:, 0], w[:, 0]
+
+
+def _gradient_stack(
+    X: np.ndarray, P: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Gradients of B over two stacks, plus per matrix the first eigenvalue
+    # that failed the PD_FLOOR test, in the order the one-matrix gradient
+    # checks them (inf where none did).
+    X, P = _pair_stack(X, P)
+    dX, *lows = _half_stack(P, X)
+    dP, *more = _half_stack(X, P)
+    low = np.full(X.shape[0], np.inf)
+    for w in reversed(lows + more):
+        low = np.where(w <= PD_FLOOR, w, low)
+    return dX, dP, low
+
+
+def quantum_bound_gradient_stack(
+    X: np.ndarray, P: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of B for each pair of two (m, k, k) stacks.
+
+    Returns (dX, dP, singular): singular[i] marks the matrices for which
+    quantum_bound_gradient raises SingularGradient; their dX[i], dP[i] are
+    meaningless. Every other matrix gets the same bits as a call on it alone.
+    """
+    dX, dP, low = _gradient_stack(X, P)
+    return dX, dP, low <= PD_FLOOR
 
 
 def quantum_bound_gradient(
@@ -120,21 +204,10 @@ def quantum_bound_gradient(
     P = symmetrize(P)
     if X.shape != P.shape:
         raise ValueError(f"dimension mismatch: {X.shape} vs {P.shape}")
-
-    def half(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        # 1/2 sqrt(A) (sqrt(A) B sqrt(A))^{-1/2} sqrt(A)
-        wA, VA = np.linalg.eigh(A)
-        if wA[0] <= PD_FLOOR:
-            raise SingularGradient(wA[0])
-        sA = (VA * np.sqrt(wA)) @ VA.T
-        w, V = np.linalg.eigh(sA @ B @ sA)
-        if w[0] <= PD_FLOOR:
-            raise SingularGradient(w[0])
-        inv_root = (V / np.sqrt(w)) @ V.T
-        M = 0.5 * sA @ inv_root @ sA
-        return (M + M.T) / 2.0
-
-    return half(P, X), half(X, P)
+    dX, dP, low = _gradient_stack(X[None], P[None])
+    if low[0] <= PD_FLOOR:
+        raise SingularGradient(low[0])
+    return dX[0], dP[0]
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:

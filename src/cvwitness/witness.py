@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import (
+    BlockPlan,
     BoundResult,
     WitnessPair,
     block_indices,
@@ -74,6 +75,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not self.s_level >= 0:
+            raise ValueError(f"s_level must be >= 0, got {self.s_level}")
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
         if self.distribution not in ("normal", "uniform"):
@@ -102,7 +105,7 @@ def measurement_sigma(w: WitnessPair, s: CVState) -> float:
 
 def condition_E(w: WitnessPair, s: CVState, p: Partition, s_level: float) -> float:
     """E_I = G + s_level*sigma - B_I; negative refutes I-separability."""
-    if s_level < 0:
+    if not s_level >= 0:
         raise ValueError(f"s_level must be >= 0, got {s_level}")
     sigma = measurement_sigma(w, s) if s_level > 0 else 0.0
     return evaluate_G(w, s) + s_level * sigma - separability_bound(w, p).value
@@ -251,17 +254,15 @@ def _rescale_to_C(
     return (C / G) * X, (C / G) * P
 
 
-def _clip_psd(A: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((A + A.T) / 2.0)
-    w = np.maximum(w, 0.0)
-    out = (V * w) @ V.T
-    return (out + out.T) / 2.0
-
-
 def _project(
     X: np.ndarray, P: np.ndarray, s: CVState, C: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    return _rescale_to_C(_clip_psd(X), _clip_psd(P), s, C)
+    """Clip X and P onto the PSD cone (one stacked eigh), then rescale."""
+    A = np.stack([X, P])
+    w, V = np.linalg.eigh((A + A.transpose(0, 2, 1)) / 2.0)
+    out = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
+    out = (out + out.transpose(0, 2, 1)) / 2.0
+    return _rescale_to_C(out[0], out[1], s, C)
 
 
 def _tangent(
@@ -313,7 +314,7 @@ def optimize_witness(
         _require_model(s)
     if p.n != s.n:
         raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
-    blocks = block_indices(p)
+    plan = BlockPlan([p])
     if use_model:
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
     else:
@@ -322,7 +323,7 @@ def optimize_witness(
 
     def objective(X: np.ndarray, P: np.ndarray) -> tuple[float, float]:
         sigma = float(np.sqrt(np.sum(X**2 * sxx2) + np.sum(P**2 * spp2)))
-        bound, _, _ = partition_bound(X, P, blocks)
+        bound = float(partition_bound(X, P, plan)[0][0])
         return cfg.s_level * sigma - bound, sigma
 
     value, sigma = objective(X, P)
@@ -332,7 +333,7 @@ def optimize_witness(
     for it in range(1, max_iter + 1):
         if callback is not None:
             callback(it, X, P, value)
-        bound, bX, bP = partition_bound(X, P, blocks, gradient=True)
+        _, (bX,), (bP,) = partition_bound(X, P, plan, gradient=True)
         if sigma > 0:
             gX = cfg.s_level * X * sxx2 / sigma - bX
             gP = cfg.s_level * P * spp2 / sigma - bP
@@ -410,8 +411,10 @@ def genuine_search(
     _require_model(s)
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     bips = bipartitions(s.n)
-    blocks_of = [block_indices(p) for p in bips]
+    plan = BlockPlan(bips)
     sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
     gxx, gpp = s.gamma_xx, s.gamma_pp
     target = cfg.s_level
@@ -421,12 +424,7 @@ def genuine_search(
         sigma = float(np.sqrt(np.sum(X**2 * sxx2) + np.sum(P**2 * spp2)))
         if sigma <= 0:
             return None
-        return np.array(
-            [
-                (partition_bound(X, P, blocks)[0] - G) / sigma
-                for blocks in blocks_of
-            ]
-        )
+        return (partition_bound(X, P, plan)[0] - G) / sigma
 
     best_min = -np.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
@@ -455,16 +453,13 @@ def genuine_search(
             dsP = P * spp2 / sigma
             gX = np.zeros_like(X)
             gP = np.zeros_like(P)
-            active = 0
-            for k, blocks in enumerate(blocks_of):
-                if cur[k] >= low + 0.2:
-                    continue
-                bval, bX, bP = partition_bound(X, P, blocks, gradient=True)
-                gX += (bX - gxx) / sigma - (bval - G) * dsX / sigma**2
-                gP += (bP - gpp) / sigma - (bval - G) * dsP / sigma**2
-                active += 1
-            gX /= active
-            gP /= active
+            active = np.flatnonzero(cur < low + 0.2)
+            bvals, bX, bP = partition_bound(X, P, plan, gradient=True)
+            for k in active:
+                gX += (bX[k] - gxx) / sigma - (bvals[k] - G) * dsX / sigma**2
+                gP += (bP[k] - gpp) / sigma - (bvals[k] - G) * dsP / sigma**2
+            gX /= active.size
+            gP /= active.size
             t = 0.1
             accepted = False
             while t > 1e-12:
@@ -495,7 +490,7 @@ def _describe_witness(w: WitnessPair) -> str:
     parts = []
     for name, M in (("h", w.X), ("g", w.P)):
         vals, vecs = np.linalg.eigh(M)
-        if vals[-1] <= 0 or vals[-2] > 1e-8 * vals[-1]:
+        if vals[-1] <= 0 or (w.n > 1 and vals[-2] > 1e-8 * vals[-1]):
             return f"matrix({w.n}x{w.n})"
         v = np.sqrt(vals[-1]) * vecs[:, -1]
         if v[np.argmax(np.abs(v))] < 0:

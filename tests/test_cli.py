@@ -290,6 +290,38 @@ def test_enumerations_capped_at_twelve_modes(capsys, tmp_path, argv):
     assert "12" in err and "got 13" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--no-error"]])
+def test_search_one_mode_state(capsys, tmp_path, extra):
+    # A 1x1 witness is rank one: the table shows its vectors.
+    path = tmp_path / "one.json"
+    sig = [[0.01]]
+    save_state(make_state([[0.3]], [[1.2]], sig, sig), path)
+    code, out, err = run(
+        capsys, "search", "--state", str(path), "--partition", "trivial",
+        "--trials", "1000", *extra,
+    )
+    assert code in (0, 1), err
+    lines = out.splitlines()
+    assert lines[0].startswith("partition") and lines[2].startswith("1 ")
+    assert "h=(" in lines[2] and "g=(" in lines[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--genuine", "--restarts", "-1"],
+        ["--genuine", "--s-level", "-1", "--restarts", "1"],
+        ["--genuine", "--target-s", "nan", "--restarts", "1"],
+        ["--partition", "1|234", "--s-level", "-0.5", "--trials", "100"],
+    ],
+)
+def test_search_rejects_negative_budget_or_level(capsys, argv):
+    code, out, err = run(capsys, "search", "--state", "klev4", *argv)
+    assert code == 2
+    assert "FOUND" not in out
+    assert "restarts" in err or "s_level" in err
+
+
 def test_search_state_from_file(capsys, tmp_path, klev4):
     path = tmp_path / "s.json"
     save_state(klev4, path)

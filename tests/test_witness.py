@@ -149,6 +149,19 @@ def test_search_config_validation():
         SearchConfig(distribution="cauchy")
 
 
+@pytest.mark.parametrize("level", [-1.0, float("nan")])
+def test_negative_or_nan_level_rejected(klev4, genuine_witness, level):
+    with pytest.raises(ValueError, match="s_level"):
+        SearchConfig(s_level=level)
+    with pytest.raises(ValueError, match="s_level"):
+        condition_E(genuine_witness, klev4, parse_partition("1|234", 4), level)
+
+
+def test_genuine_search_rejects_negative_restarts(klev4):
+    with pytest.raises(ValueError, match="restarts"):
+        genuine_search(klev4, SearchConfig(s_level=4.0), restarts=-1)
+
+
 def test_optimize_witness_certifies(klev4):
     cfg = SearchConfig(seed=3, s_level=6.0)
     p = parse_partition("1|234", 4)

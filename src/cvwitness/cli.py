@@ -301,9 +301,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     # margin mode defaults to the convex search.
     method = args.method or ("optimize" if args.no_error else "random")
     if method == "optimize":
-        reports = [
-            optimize_witness(state, p, cfg, no_error=args.no_error) for p in parts
-        ]
+        reports = optimize_witness(state, parts, cfg, no_error=args.no_error)
     else:
         reports = random_rank_one_search(
             state, parts, cfg, threads=threads, no_error=args.no_error

@@ -13,8 +13,8 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from math import erfc, sqrt
+from dataclasses import dataclass, replace
+from math import erfc, isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,8 +77,10 @@ class SearchConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.s_level >= 0:
             raise ValueError(f"s_level must be >= 0, got {self.s_level}")
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
+        if not (self.C > 0 and isfinite(self.C)):
+            raise ValueError(f"C must be positive and finite, got {self.C}")
         if self.distribution not in ("normal", "uniform"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -245,35 +247,90 @@ def random_rank_one_search(
     return reports[0] if single else reports
 
 
+_NONPOSITIVE_G = "witness has nonpositive G; cannot normalize"
+
+
 def _rescale_to_C(
     X: np.ndarray, P: np.ndarray, s: CVState, C: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale each pair of two (m, n, n) stacks to G = C.
+
+    Returns (X, P, ok); a pair with G <= 0 cannot be normalized, so ok is
+    False there and that pair is meaningless.
+    """
+    G = np.sum(X * s.gamma_xx, axis=(1, 2)) + np.sum(P * s.gamma_pp, axis=(1, 2))
+    ok = G > 0
+    f = (C / np.where(ok, G, 1.0))[:, None, None]
+    return f * X, f * P, ok
+
+
+def _normalized(
+    X: np.ndarray, P: np.ndarray, s: CVState, C: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    G = float(np.sum(X * s.gamma_xx) + np.sum(P * s.gamma_pp))
-    if not G > 0:
-        raise ValueError("witness has nonpositive G; cannot normalize")
-    return (C / G) * X, (C / G) * P
+    (X,), (P,), (ok,) = _rescale_to_C(X[None], P[None], s, C)
+    if not ok:
+        raise ValueError(_NONPOSITIVE_G)
+    return X, P
 
 
 def _project(
     X: np.ndarray, P: np.ndarray, s: CVState, C: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clip X and P onto the PSD cone (one stacked eigh), then rescale."""
-    A = np.stack([X, P])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip each pair of two (m, n, n) stacks onto the PSD cone (one stacked
+    eigh for both), then rescale as _rescale_to_C does."""
+    A = np.concatenate([X, P])
     w, V = np.linalg.eigh((A + A.transpose(0, 2, 1)) / 2.0)
     out = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
     out = (out + out.transpose(0, 2, 1)) / 2.0
-    return _rescale_to_C(out[0], out[1], s, C)
+    return _rescale_to_C(out[: len(X)], out[len(X) :], s, C)
 
 
 def _tangent(
     gX: np.ndarray, gP: np.ndarray, s: CVState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Remove the gradient component along the normalization constraint."""
+    """Remove from each gradient of two (m, n, n) stacks its component along
+    the normalization constraint."""
     gxx, gpp = s.gamma_xx, s.gamma_pp
-    coef = float(np.sum(gX * gxx) + np.sum(gP * gpp)) / float(
+    coef = (np.sum(gX * gxx, axis=(1, 2)) + np.sum(gP * gpp, axis=(1, 2))) / float(
         np.sum(gxx * gxx) + np.sum(gpp * gpp)
     )
+    coef = coef[:, None, None]
     return gX - coef * gxx, gP - coef * gpp
+
+
+def _backtrack(
+    t0: np.ndarray,
+    floor: float,
+    trial: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, tuple]],
+) -> list:
+    """Backtracking line search on several lanes at once.
+
+    Lane i tries the steps t0[i], t0[i]/2, t0[i]/4, ... while they stay
+    above floor and stops at the first candidate trial marks, exactly as a
+    loop halving one step at a time would (halving is exact). The ladders
+    are evaluated in chunks of 1, 2, 4, ... steps per lane, one trial call
+    per chunk for every lane still searching. trial(lane, t) scores the
+    candidates lane[c] at step t[c] and returns (stop, payload), payload
+    being a tuple of arrays indexed by candidate. Returns, per lane, None
+    when its ladder ran out, otherwise (t, payload row) of its stop.
+    """
+    found = [None] * len(t0)
+    lanes = np.arange(len(t0))
+    first, size = 0, 1
+    while lanes.size:
+        t = np.ldexp(t0[lanes, None], -np.arange(first, first + size))
+        live = t > floor
+        rows, cols = np.nonzero(live)
+        if not rows.size:
+            break
+        lane = lanes[rows]
+        stop, payload = trial(lane, t[rows, cols])
+        for c in np.flatnonzero(stop)[::-1]:  # the first stop of a lane wins
+            found[lane[c]] = (t[rows[c], cols[c]], tuple(a[c] for a in payload))
+        keep = [i for i, j in enumerate(lanes) if found[j] is None and live[i, -1]]
+        lanes = lanes[keep]
+        first, size = first + size, 2 * size
+    return found
 
 
 def _random_pd_start(
@@ -285,106 +342,134 @@ def _random_pd_start(
     R2 = gen.standard_normal((n, n))
     X = R1.T @ R1 + 0.1 * np.eye(n)
     P = R2.T @ R2 + 0.1 * np.eye(n)
-    return _rescale_to_C(X, P, s, cfg.C)
+    return _normalized(X, P, s, cfg.C)
 
 
 def optimize_witness(
     s: CVState,
-    p: Partition,
+    p: Partition | Sequence[Partition],
     cfg: SearchConfig = SearchConfig(),
     *,
     max_iter: int = 2000,
     tol: float = 1e-10,
     callback: IterateCallback | None = None,
     no_error: bool = False,
-) -> ViolationReport:
+) -> ViolationReport | list[ViolationReport]:
     """Minimize s_level*sigma(X,P) - B_I(X,P) over witnesses with G = C.
 
     Projected gradient descent: each step is eigenvalue-clipped onto the PSD
-    cone and rescaled so the normalization holds exactly. The objective is
-    convex, so a line-search stall certifies the constrained optimum. A value
-    below -C at the optimum certifies non-p-separability at level s_level.
-    With no_error=True (or no error model at s_level = 0) the sigma term is
-    dropped and the report carries the raw margin only.
+    cone and rescaled so the normalization holds exactly, with a
+    backtracking line search. The descent stops when the projected gradient
+    vanishes, when no step above 1e-14 decreases the objective enough, or
+    after five steps in a row that barely lowered it. converged=True records
+    one of these stops and does not certify the constrained optimum: the
+    clip-then-rescale step is not a projection onto the feasible set and
+    B_I is not smooth at rank-deficient blocks, so a stall can sit well
+    short of it. A value below -C certifies non-p-separability at level
+    s_level. With no_error=True (or no error model at s_level = 0) the sigma
+    term is dropped and the report carries the raw margin only.
+
+    p is one partition, which returns one report, or a sequence of
+    partitions, which returns one report per partition in that order. The
+    descents of a sequence start from the same point and run in lockstep:
+    each iteration takes one gradient call over the partitions still
+    running and evaluates their line searches together, so each report
+    equals that of a call on its partition alone. The callback sees
+    (iteration, X, P, value) once per running partition and iteration, in
+    partition order.
     """
+    single = isinstance(p, Partition)
+    parts = [p] if single else list(p)
     if no_error and cfg.s_level > 0:
         raise ValueError("no_error scoring requires s_level == 0")
     use_model = s.has_error_model and not no_error
     if cfg.s_level > 0:
         _require_model(s)
-    if p.n != s.n:
-        raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
-    plan = BlockPlan([p])
+    for q in parts:
+        if q.n != s.n:
+            raise ValueError(f"state is {s.n}-mode but partition is over {q.n}")
+    if not parts:
+        return []
+    plan = BlockPlan(parts)
     if use_model:
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
     else:
         sxx2 = spp2 = np.zeros((s.n, s.n))
-    X, P = _random_pd_start(s, cfg, _OPT_STREAM)
 
-    def objective(X: np.ndarray, P: np.ndarray) -> tuple[float, float]:
-        sigma = float(np.sqrt(np.sum(X**2 * sxx2) + np.sum(P**2 * spp2)))
-        bound = float(partition_bound(X, P, plan)[0][0])
+    def objective(X, P, which):
+        sigma = np.sqrt(
+            np.sum(X**2 * sxx2, axis=(1, 2)) + np.sum(P**2 * spp2, axis=(1, 2))
+        )
+        bound = partition_bound(X, P, plan, which)[0]
         return cfg.s_level * sigma - bound, sigma
 
-    value, sigma = objective(X, P)
-    step = 0.1
-    streak = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        if callback is not None:
-            callback(it, X, P, value)
-        _, (bX,), (bP,) = partition_bound(X, P, plan, gradient=True)
-        if sigma > 0:
-            gX = cfg.s_level * X * sxx2 / sigma - bX
-            gP = cfg.s_level * P * spp2 / sigma - bP
-        else:
-            gX, gP = -bX, -bP
-        gX, gP = _tangent(gX, gP, s)
-        gnorm2 = float(np.sum(gX * gX) + np.sum(gP * gP))
-        if np.sqrt(gnorm2) < 1e-12:
-            converged = True
-            break
-        t = step
-        accepted = False
-        while t > 1e-14:
-            Xn, Pn = _project(X - t * gX, P - t * gP, s, cfg.C)
-            vn, sn = objective(Xn, Pn)
-            if vn <= value - 1e-4 * t * gnorm2:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = True  # stall at the constrained optimum (convexity)
-            break
-        step = min(1.0, 2.0 * t)
-        drop = value - vn
-        streak = streak + 1 if drop <= tol * max(1.0, abs(value)) else 0
-        X, P, value, sigma = Xn, Pn, vn, sn
-        if streak >= 5:
-            converged = True
-            break
+    def trial(lane, t):
+        # Steps down from the running iterates Xr, Pr along gX, gP.
+        tt = t[:, None, None]
+        Xn, Pn, ok = _project(
+            Xr[lane] - tt * gX[lane], Pr[lane] - tt * gP[lane], s, cfg.C
+        )
+        vn, sn = objective(Xn, Pn, r[lane])
+        accept = vn <= value[r[lane]] - 1e-4 * t * gnorm2[lane]
+        return ~ok | accept, (Xn, Pn, vn, sn, ok)
 
-    final = WitnessPair(X, P)
-    if use_model:
-        report = violation_score(final, s, p)
-    else:
-        cert = separability_bound(final, p)
-        report = ViolationReport(
-            p, evaluate_G(final, s), None, cert.value, None, None, final, cert
-        )
-    if not converged:
-        report = ViolationReport(
-            report.partition,
-            report.G,
-            report.sigma,
-            report.bound,
-            report.s,
-            report.confidence,
-            report.witness,
-            report.certificate,
-            converged=False,
-        )
-    return report
+    m = len(parts)
+    X0, P0 = _random_pd_start(s, cfg, _OPT_STREAM)
+    X, P = [X0] * m, [P0] * m
+    value, sigma = objective(np.stack(X), np.stack(P), np.arange(m))
+    step = np.full(m, 0.1)
+    streak = [0] * m
+    converged = [False] * m
+    running = list(range(m))
+    for it in range(1, max_iter + 1):
+        if not running:
+            break
+        if callback is not None:
+            for j in running:
+                callback(it, X[j], P[j], float(value[j]))
+        r = np.array(running)
+        Xr, Pr = np.stack([X[j] for j in r]), np.stack([P[j] for j in r])
+        _, bX, bP = partition_bound(Xr, Pr, plan, r, gradient=True)
+        sig = sigma[r][:, None, None]
+        pos = sig > 0
+        div = np.where(pos, sig, 1.0)
+        gX = np.where(pos, cfg.s_level * Xr * sxx2 / div - bX, -bX)
+        gP = np.where(pos, cfg.s_level * Pr * spp2 / div - bP, -bP)
+        gX, gP = _tangent(gX, gP, s)
+        gnorm2 = np.sum(gX * gX, axis=(1, 2)) + np.sum(gP * gP, axis=(1, 2))
+        flat = np.sqrt(gnorm2) < 1e-12
+        for j in r[flat]:
+            converged[j] = True
+        r, Xr, Pr, gX, gP, gnorm2 = (a[~flat] for a in (r, Xr, Pr, gX, gP, gnorm2))
+
+        for j, found in zip(r, _backtrack(step[r], 1e-14, trial)):
+            if found is None:
+                converged[j] = True  # no step above the floor helps
+                continue
+            t, (Xn, Pn, vn, sn, ok) = found
+            if not ok:
+                raise ValueError(_NONPOSITIVE_G)
+            step[j] = min(1.0, 2.0 * t)
+            drop = value[j] - vn
+            small = drop <= tol * max(1.0, abs(value[j]))
+            streak[j] = streak[j] + 1 if small else 0
+            X[j], P[j], value[j], sigma[j] = Xn, Pn, vn, sn
+            if streak[j] >= 5:
+                converged[j] = True
+        running = [j for j in running if not converged[j]]
+
+    reports = []
+    for j, q in enumerate(parts):
+        final = WitnessPair(X[j], P[j])
+        if use_model:
+            report = violation_score(final, s, q)
+        else:
+            cert = separability_bound(final, q)
+            report = ViolationReport(
+                q, evaluate_G(final, s), None, cert.value, None, None, final, cert
+            )
+        reports.append(report if converged[j] else replace(report, converged=False))
+    return reports[0] if single else reports
 
 
 def genuine_search(
@@ -419,23 +504,34 @@ def genuine_search(
     gxx, gpp = s.gamma_xx, s.gamma_pp
     target = cfg.s_level
 
-    def scores(X: np.ndarray, P: np.ndarray) -> np.ndarray | None:
-        G = float(np.sum(X * gxx) + np.sum(P * gpp))
-        sigma = float(np.sqrt(np.sum(X**2 * sxx2) + np.sum(P**2 * spp2)))
-        if sigma <= 0:
-            return None
-        return (partition_bound(X, P, plan)[0] - G) / sigma
+    def scores(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Scores of each witness of two (m, n, n) stacks against every
+        # bipartition; ok is False where sigma vanishes (scores undefined).
+        G = np.sum(X * gxx, axis=(1, 2)) + np.sum(P * gpp, axis=(1, 2))
+        sigma = np.sqrt(
+            np.sum(X**2 * sxx2, axis=(1, 2)) + np.sum(P**2 * spp2, axis=(1, 2))
+        )
+        ok = sigma > 0
+        values = partition_bound(X, P, plan)[0]
+        return (values - G[:, None]) / np.where(ok, sigma, 1.0)[:, None], ok
+
+    def trial(lane, t):
+        # Steps up from the current iterate (X, P) along (gX, gP).
+        tt = t[:, None, None]
+        Xn, Pn, ok = _project(X + tt * gX, P + tt * gP, s, cfg.C)
+        nxt, defined = scores(Xn, Pn)
+        return ~ok | (defined & (nxt.min(axis=1) > low)), (Xn, Pn, nxt, ok)
 
     best_min = -np.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
     success = False
     for attempt in range(restarts + 1):
         if attempt == 0 and start is not None:
-            X, P = _rescale_to_C(start.X, start.P, s, cfg.C)
+            X, P = _normalized(start.X, start.P, s, cfg.C)
         else:
             X, P = _random_pd_start(s, cfg, _GENUINE_STREAM + attempt)
-        cur = scores(X, P)
-        if cur is None:
+        (cur,), (defined,) = scores(X[None], P[None])
+        if not defined:
             continue
         for it in range(max_iter):
             low = float(cur.min())
@@ -460,18 +556,12 @@ def genuine_search(
                 gP += (bP[k] - gpp) / sigma - (bvals[k] - G) * dsP / sigma**2
             gX /= active.size
             gP /= active.size
-            t = 0.1
-            accepted = False
-            while t > 1e-12:
-                Xn, Pn = _project(X + t * gX, P + t * gP, s, cfg.C)
-                nxt = scores(Xn, Pn)
-                if nxt is not None and float(nxt.min()) > low:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
+            (hit,) = _backtrack(np.array([0.1]), 1e-12, trial)
+            if hit is None:
                 break  # conflicting gradients: restart
-            X, P, cur = Xn, Pn, nxt
+            _, (X, P, cur, ok) = hit
+            if not ok:
+                raise ValueError(_NONPOSITIVE_G)
         if success:
             break
 

@@ -322,6 +322,34 @@ def test_search_rejects_negative_budget_or_level(capsys, argv):
     assert "restarts" in err or "s_level" in err
 
 
+SEARCH_PATHS = {
+    "random": ["--partition", "1|234", "--trials", "1000"],
+    "optimize": ["--partition", "1|234", "--method", "optimize"],
+    "genuine": ["--genuine", "--s-level", "4", "--restarts", "1"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(SEARCH_PATHS))
+@pytest.mark.parametrize("seed, ok", [("-5", False), (str(2**64), False), (str(2**64 - 1), True)])
+def test_search_seed_must_fit_64_bits(capsys, path, seed, ok):
+    # A seed the random streams cannot take is a usage error (exit 2), not a
+    # traceback with exit 1, which would read as "certified".
+    code, out, err = run(capsys, "search", "--state", "klev4", *SEARCH_PATHS[path], f"--seed={seed}")
+    if ok:
+        assert code in (0, 1), err
+    else:
+        assert code == 2 and out == ""
+        assert "seed must be in [0, 2^64)" in err
+
+
+@pytest.mark.parametrize("path", sorted(SEARCH_PATHS))
+@pytest.mark.parametrize("C", ["inf", "-inf", "nan"])
+def test_search_rejects_non_finite_C(capsys, path, C):
+    code, out, err = run(capsys, "search", "--state", "klev4", *SEARCH_PATHS[path], f"--C={C}")
+    assert code == 2 and out == ""
+    assert "C must be positive and finite" in err
+
+
 def test_search_state_from_file(capsys, tmp_path, klev4):
     path = tmp_path / "s.json"
     save_state(klev4, path)

@@ -16,16 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (
-    PSD_TOL,
-    NotPSD,
-    SingularGradient,
-    quantum_bound,
-    quantum_bound_gradient,
-    quantum_bound_gradient_stack,
-    quantum_bound_stack,
-    symmetrize,
-)
+from .linalg import PSD_TOL, NotPSD, quantum_bound, quantum_bound_stack, symmetrize
 from .partitions import (
     Partition,
     PartitionError,
@@ -114,14 +105,7 @@ class BlockPlan:
             self.groups.append((idx[:, :, None], idx[:, None, :], owner, pos))
 
 
-def partition_bound(
-    X: np.ndarray,
-    P: np.ndarray,
-    plan: BlockPlan,
-    which: np.ndarray | None = None,
-    *,
-    gradient: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def partition_bound(X: np.ndarray, P: np.ndarray, plan: BlockPlan) -> np.ndarray:
     """B_I(X, P) = sum over blocks b of B(X_bb, P_bb), the one definition of B_I.
 
     Proof of the closed form: an I-separable state is a mixture of block
@@ -129,69 +113,17 @@ def partition_bound(
     tr(P_bb gpp_bb), each at least B(X_bb, P_bb); a product of per-block
     minimizers attains every term, so no larger bound holds.
 
-    X and P are one witness (n, n) or a stack of them. With which=None each
-    witness is scored against every partition of the plan: values[..., j] is
-    B_I for the j-th partition. With an index array which, the witnesses
-    form an (m, n, n) stack and witness i is scored against partition
-    which[i] only: values has shape (m,). Each block size takes one stacked
-    kernel call, and the block terms are added in block order, so every
-    value has the bits of a sum of one quantum_bound call per block. With
-    gradient=True, gX and gP hold one (n, n) gradient per value, assembled
-    from the per-block gradients (cross-block entries have zero gradient);
-    otherwise they are None and no gradient is computed.
+    Returns one value per partition of the plan. Each block size takes one
+    stacked kernel call, and the block terms are added in block order, so
+    every value has the bits of a sum of one quantum_bound call per block.
     """
-    n = X.shape[-1]
-    if which is None:
-        shape = X.shape[:-2] + (plan.count,)
-        X, P = X.reshape(-1, n, n), P.reshape(-1, n, n)
-        terms = np.zeros((len(X), plan.width, plan.count))
-    else:
-        which = np.asarray(which)
-        shape = which.shape
-        terms = np.zeros((which.size, plan.width))
-    slots = terms.shape[:1] + terms.shape[2:]
-    gX = np.zeros(slots + (n, n)) if gradient else None
-    gP = np.zeros(slots + (n, n)) if gradient else None
+    terms = np.zeros((plan.width, plan.count))
     for rows, cols, owner, pos in plan.groups:
-        if which is None:
-            src = (slice(None), rows, cols)
-            dst = (slice(None), owner[:, None, None], rows, cols)
-            at = (slice(None), pos, owner)
-        else:
-            # The blocks of the partition each witness is scored against.
-            q, b = np.nonzero(which[:, None] == owner)
-            if not q.size:
-                continue
-            src = dst = (q[:, None, None], rows[b], cols[b])
-            at = (q, pos[b])
-        A, B = X[src], P[src]
-        lead, k = A.shape[:-2], A.shape[-1]
-        A, B = A.reshape(-1, k, k), B.reshape(-1, k, k)
-        terms[at] = quantum_bound_stack(A, B).reshape(lead)
-        if gradient:
-            dA, dB, singular = quantum_bound_gradient_stack(A, B)
-            for i in np.flatnonzero(singular):
-                dA[i], dB[i] = _safe_gradient(A[i], B[i])
-            gX[dst], gP[dst] = dA.reshape(lead + (k, k)), dB.reshape(lead + (k, k))
-    values = np.zeros(slots)
+        terms[pos, owner] = quantum_bound_stack(X[rows, cols], P[rows, cols])
+    values = np.zeros(plan.count)
     for i in range(plan.width):
-        values += terms[:, i]
-    if gradient:
-        gX, gP = gX.reshape(shape + (n, n)), gP.reshape(shape + (n, n))
-    return values.reshape(shape), gX, gP
-
-
-def _safe_gradient(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the quantumness bound for a block whose unshifted gradient
-    is singular, shifting it just enough to regularize (iterates may sit on
-    the PSD boundary)."""
-    eye = np.eye(A.shape[0])
-    for shift in (1e-11, 1e-8, 1e-5, 1e-3):
-        try:
-            return quantum_bound_gradient(A + shift * eye, B + shift * eye)
-        except SingularGradient:
-            continue
-    return np.zeros_like(A), np.zeros_like(B)
+        values += terms[i]
+    return values
 
 
 def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
@@ -208,8 +140,7 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     P0 = np.where(mask, 0.0, w.P)
     X0.flags.writeable = False
     P0.flags.writeable = False
-    values, _, _ = partition_bound(w.X, w.P, BlockPlan([p]))
-    return BoundResult(float(values[0]), X0, P0)
+    return BoundResult(float(partition_bound(w.X, w.P, BlockPlan([p]))[0]), X0, P0)
 
 
 def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Verbs: bound (quantum and partition bounds for a witness), check (physicality,
-partial transposes and the sign-matrix LMI test), search (random rank-one,
-convex single-partition, or genuine multipartite witness searches), and
+partial transposes and the sign-matrix LMI test), search (random rank-one
+witnesses, or the optimal witness per partition or for genuine multipartite
+entanglement from the convex solver), and
 reproduce (recompute the bundled reference results and compare).
 
 Exit codes: 0 = ran, nothing certified / all values reproduced; 1 =
@@ -49,11 +50,8 @@ from .witness import (
     random_rank_one_search,
     reports_table,
     reports_to_json,
+    rounding_bound,
 )
-
-# Margins below this are treated as numerical zero when certifying without an
-# error model.
-_MARGIN_TOL = 1e-9
 
 _UNPHYSICAL = "state is not physical; separability tests are inconclusive"
 
@@ -249,9 +247,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if (physical and certified) else 0
 
 
-def _certified(r: ViolationReport, s_level: float) -> bool:
+def _certified(r: ViolationReport, state: CVState, s_level: float) -> bool:
+    """A raw margin certifies when it beats the solver's duality gap (none
+    for random witnesses) plus the rounding bound of the margin itself."""
     if r.s is None:
-        return r.bound - r.G > _MARGIN_TOL
+        return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state)
     return r.s >= s_level
 
 
@@ -275,7 +275,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.genuine:
         if args.no_error:
             raise ValueError("the genuine search needs an error model")
-        found, _, reports = genuine_search(state, cfg, restarts=args.restarts)
+        if args.restarts < 0:
+            raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
+        found, _, reports = genuine_search(state, cfg)
         print(reports_table(reports))
         print(
             f"genuine multipartite entanglement at level s >= {cfg.s_level}: "
@@ -307,7 +309,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             state, parts, cfg, threads=threads, no_error=args.no_error
         )
     print(reports_table(reports))
-    hits = [r for r in reports if _certified(r, s_level)]
+    hits = [r for r in reports if _certified(r, state, s_level)]
     if hits:
         names = ", ".join(r.partition.text for r in hits)
         print(f"certified across: {names}")
@@ -508,7 +510,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--C", type=float, default=1.0, help="normalization constant")
     s.add_argument("--distribution", choices=("normal", "uniform"), default="normal")
     s.add_argument("--threads", type=int, default=None)
-    s.add_argument("--restarts", type=int, default=200, help="genuine-search budget")
+    s.add_argument(
+        "--restarts", type=int, default=200,
+        help="ignored, as the convex solver needs no restarts; must be >= 0",
+    )
     s.add_argument(
         "--no-error",
         action="store_true",

@@ -1,6 +1,6 @@
-"""Dense symmetric-matrix primitives: eigendecompositions, PSD square roots,
-symplectic spectra, and the quantumness bound with its analytic gradient, for
-one pair of matrices or for stacks of equal-size pairs.
+"""Dense symmetric-matrix primitives: PSD square roots, symplectic spectra,
+the quantumness bound for one pair of matrices or for stacks of equal-size
+pairs, and its analytic gradient.
 
 All matrices are real, symmetric, dense, and small (n <= 32).  Units are the
 dimensionless ones used throughout the package: vacuum variance 1/2.
@@ -54,22 +54,6 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return (A + A.T) / 2.0
-
-
-def eig_sym(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns (w, V) with A = V diag(w) V^T and orthonormal columns in V.
-    """
-    A = symmetrize(A)
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for matrix with max |entry| "
-            f"{np.abs(A).max():.3e}: {exc}"
-        ) from exc
-    return w[::-1].copy(), V[:, ::-1].copy()
 
 
 def _psd_eigh(A: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
@@ -148,47 +132,18 @@ def quantum_bound(X: np.ndarray, P: np.ndarray) -> float:
     return float(quantum_bound_stack(X[None], P[None])[0])
 
 
-def _half_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, ...]:
-    # 1/2 sqrt(A) (sqrt(A) B sqrt(A))^{-1/2} sqrt(A) per matrix, with the
-    # smallest eigenvalues of A and of sqrt(A) B sqrt(A). Lanes at or below
-    # PD_FLOOR run on placeholder eigenvalues of 1, so no sqrt or division
-    # sees them; their result is meaningless.
+def _half(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # 1/2 sqrt(A) (sqrt(A) B sqrt(A))^{-1/2} sqrt(A), after checking the
+    # smallest eigenvalues of A and of sqrt(A) B sqrt(A) against PD_FLOOR.
     wA, VA = np.linalg.eigh(A)
-    ok = wA[:, :1] > PD_FLOOR
-    sA = (VA * np.sqrt(np.where(ok, wA, 1.0))[:, None, :]) @ _mT(VA)
+    if wA[0] <= PD_FLOOR:
+        raise SingularGradient(wA[0])
+    sA = (VA * np.sqrt(wA)) @ VA.T
     w, V = np.linalg.eigh(sA @ B @ sA)
-    ok &= w[:, :1] > PD_FLOOR
-    inv_root = (V / np.sqrt(np.where(ok, w, 1.0))[:, None, :]) @ _mT(V)
-    M = 0.5 * sA @ inv_root @ sA
-    return (M + _mT(M)) / 2.0, wA[:, 0], w[:, 0]
-
-
-def _gradient_stack(
-    X: np.ndarray, P: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Gradients of B over two stacks, plus per matrix the first eigenvalue
-    # that failed the PD_FLOOR test, in the order the one-matrix gradient
-    # checks them (inf where none did).
-    X, P = _pair_stack(X, P)
-    dX, *lows = _half_stack(P, X)
-    dP, *more = _half_stack(X, P)
-    low = np.full(X.shape[0], np.inf)
-    for w in reversed(lows + more):
-        low = np.where(w <= PD_FLOOR, w, low)
-    return dX, dP, low
-
-
-def quantum_bound_gradient_stack(
-    X: np.ndarray, P: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of B for each pair of two (m, k, k) stacks.
-
-    Returns (dX, dP, singular): singular[i] marks the matrices for which
-    quantum_bound_gradient raises SingularGradient; their dX[i], dP[i] are
-    meaningless. Every other matrix gets the same bits as a call on it alone.
-    """
-    dX, dP, low = _gradient_stack(X, P)
-    return dX, dP, low <= PD_FLOOR
+    if w[0] <= PD_FLOOR:
+        raise SingularGradient(w[0])
+    M = 0.5 * sA @ ((V / np.sqrt(w)) @ V.T) @ sA
+    return (M + M.T) / 2.0
 
 
 def quantum_bound_gradient(
@@ -198,16 +153,14 @@ def quantum_bound_gradient(
 
     dX = 1/2 sqrt(P) (sqrt(P) X sqrt(P))^{-1/2} sqrt(P) and symmetrically for
     dP.  Entry (i, j) is the half-derivative along e_ij + e_ji; the directional
-    derivative along a symmetric direction D is <dX, D>.
+    derivative along a symmetric direction D is <dX, D>. Raises
+    SingularGradient when an eigenvalue it takes a root of is <= PD_FLOOR.
     """
     X = symmetrize(X)
     P = symmetrize(P)
     if X.shape != P.shape:
         raise ValueError(f"dimension mismatch: {X.shape} vs {P.shape}")
-    dX, dP, low = _gradient_stack(X[None], P[None])
-    if low[0] <= PD_FLOOR:
-        raise SingularGradient(low[0])
-    return dX[0], dP[0]
+    return _half(P, X), _half(X, P)
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:

@@ -1,0 +1,279 @@
+"""Primal-dual interior-point method for small block SDPs in LMI form.
+
+    maximize    b.y
+    subject to  Z_j(y) = F_j0 + sum_i y_i F_ji  PSD, for every block j.
+
+A linear inequality is a 1x1 block. The dual problem is
+
+    minimize    sum_j tr(F_j0 W_j)
+    subject to  sum_j tr(F_ji W_j) = -b_i,  W_j PSD,
+
+and at a pair of feasible points the duality gap, dual minus primal, equals
+sum_j tr(W_j Z_j) (Vandenberghe & Boyd, SIAM Rev. 38, 49 (1996)). The search
+direction is HKM with Mehrotra's predictor-corrector (Toh, Todd & Tutuncu,
+Optim. Methods Softw. 11, 545 (1999)). The caller supplies a strictly
+feasible y0, so every iterate y is feasible (up to rounding) and b.y is
+attained; W starts at Z(y0)^-1 and reaches feasibility along the way.
+
+Each F_ji is sparse: a block lists terms (i, row, col, coef), each putting
+coef*y_i at (row, col) and (col, row), once on the diagonal. Each variable
+carries a group label: variables of group k >= 0 may share blocks with the
+shared variables (label -1) but with no variable of another group. The Schur
+complement is assembled from pairs of terms, and each group is eliminated on
+its own before the shared variables, so the work per iteration is linear in
+the number of groups.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+# Stop at this relative duality gap and dual infeasibility; once past
+# _ACCEPT, also after _STALL iterations that do not improve on the best. The
+# best iterate is returned, and converged means it reached _ACCEPT.
+_TOL = 1e-8
+_ACCEPT = 1e-7
+_STALL = 4
+_MAX_ITER = 100
+_STEP = 0.98  # fraction of the way to the boundary of the cone
+
+
+@dataclass(frozen=True)
+class Block:
+    """One LMI block: F0 plus coef[t] * y[var[t]] at (row[t], col[t]) and at
+    (col[t], row[t]) for every term t, once on the diagonal, must be PSD."""
+
+    F0: np.ndarray
+    var: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The best iterate: y (feasible up to rounding), the dual matrices W (one
+    per block, in input order), both objectives, and whether it met _ACCEPT."""
+
+    y: np.ndarray
+    W: list[np.ndarray]
+    primal: float
+    dual: float
+    converged: bool
+
+
+def _mT(A: np.ndarray) -> np.ndarray:
+    return A.transpose(0, 2, 1)
+
+
+def _sym(A: np.ndarray) -> np.ndarray:
+    return (A + _mT(A)) / 2.0
+
+
+class _Problem:
+    """The blocks stacked by size into one flat vector, with the index arrays
+    that map y to Z(y), W to F*(W), and (W, Z^-1) to the Schur complement."""
+
+    def __init__(self, blocks: list[Block], group: np.ndarray):
+        m = group.size
+        self.order = sorted(range(len(blocks)), key=lambda j: blocks[j].F0.shape[0])
+        ordered = [blocks[j] for j in self.order]
+        dims = np.array([blk.F0.shape[0] for blk in ordered])
+        sizes, counts = np.unique(dims, return_counts=True)
+        self.shapes = list(zip(counts.tolist(), sizes.tolist()))
+        self.cuts = np.cumsum(counts * sizes**2)[:-1]
+        base = np.cumsum(dims**2) - dims**2
+        self.F0 = np.concatenate([np.ravel(blk.F0) for blk in ordered]).astype(float)
+        self.size, self.m = int((dims**2).sum()), m
+        blk = np.repeat(np.arange(len(ordered)), [b.var.size for b in ordered])
+        v, r, c, coef = (
+            np.concatenate([getattr(b, f) for b in ordered])
+            for f in ("var", "row", "col", "coef")
+        )
+        keep = coef != 0
+        blk, v, r, c = blk[keep], v[keep], r[keep], c[keep]
+        h = coef[keep] * np.where(r == c, 0.5, 1.0)
+        d, o = dims[blk], base[blk]
+        self.at = np.concatenate([o + r * d + c, o + c * d + r])
+        self.var, self.hc = np.concatenate([v, v]), np.concatenate([h, h])
+        # tr(T_p W T_q Z^-1) for T = h (E_ab + E_ba) is the sum of four
+        # products W_xy Zi_uv, gathered for every pair (p, q) of terms of
+        # one block.
+        per_block = np.bincount(blk, minlength=dims.size)
+        n_of = per_block[blk]
+        p = np.repeat(np.arange(blk.size), n_of)
+        q = np.arange(p.size) - np.repeat(np.cumsum(n_of) - n_of, n_of)
+        q += (np.cumsum(per_block) - per_block)[blk[p]]
+        ap, bp, aq, bq, d, o = r[p], c[p], r[q], c[q], d[p], o[p]
+        wi = o + np.stack([bp * d + aq, bp * d + bq, ap * d + aq, ap * d + bq])
+        zi = o + np.stack([bq * d + ap, aq * d + ap, bq * d + bp, aq * d + bp])
+        w, vp, vq = h[p] * h[q], v[p], v[q]
+        # Where each pair lands: the shared block S, a group's own block H,
+        # or the coupling E of a group's variables to the shared ones.
+        shared = np.flatnonzero(group < 0)
+        counts = np.bincount(group[group >= 0])
+        K, k, s = counts.size, int(counts.max(initial=0)), shared.size
+        pos = np.zeros(m, dtype=int)
+        pos[shared] = np.arange(s)
+        local = np.full((K, k), m)  # padding points past the end of y
+        for g in range(K):
+            mine = np.flatnonzero(group == g)
+            pos[mine] = np.arange(mine.size)
+            local[g, : mine.size] = mine
+        gp, gq = group[vp], group[vq]
+        if np.any((gp >= 0) & (gq >= 0) & (gp != gq)):
+            raise ValueError("two variable groups share a block")
+        self.offsets = (K * k * k, K * k * k + K * k * s)
+        row = gp * k + pos[vp]  # a group variable's row in H or E
+        in_group = np.where(gq < 0, self.offsets[0] + row * s, row * k)
+        dest = np.where(gp < 0, self.offsets[1] + pos[vp] * s, in_group) + pos[vq]
+        keep = (gp >= 0) | (gq < 0)  # E holds the (group, shared) half only
+        self.wi, self.zi, self.w, self.dest = (a[..., keep] for a in (wi, zi, w, dest))
+        self.K, self.k, self.s = K, k, s
+        self.shared, self.local = shared, local
+        self.pad = np.eye(k) * (local == m)[:, None, :]  # unit diagonal on padding
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        parts = np.split(flat, self.cuts)
+        return [a.reshape(g, d, d) for a, (g, d) in zip(parts, self.shapes)]
+
+    def lin(self, y: np.ndarray) -> np.ndarray:
+        """Flat sum_i y_i F_i over every block."""
+        return np.bincount(self.at, self.hc * y[self.var], self.size)
+
+    def adjoint(self, W: list[np.ndarray]) -> np.ndarray:
+        """F*(W)_i = sum_j tr(F_ji W_j)."""
+        flat = np.concatenate([A.ravel() for A in W])
+        return np.bincount(self.var, self.hc * flat[self.at], self.m)
+
+    def schur(self, W: list[np.ndarray], Zi: list[np.ndarray]):
+        """Factor M_pq = sum_j tr(F_jp W_j F_jq Z_j^-1) and return its solver.
+
+        M = [[H, E], [E^T, S]], H block diagonal over the groups, is solved
+        through the Cholesky factors of H and of S - E^T H^-1 E, with two
+        steps of iterative refinement against M itself.
+        """
+        wf = np.concatenate([A.ravel() for A in W])
+        zf = np.concatenate([A.ravel() for A in Zi])
+        vals = self.w * np.einsum("ij,ij->j", wf[self.wi], zf[self.zi])
+        K, k, s = self.K, self.k, self.s
+        M = np.bincount(self.dest, vals, self.offsets[1] + s * s)
+        H = M[: self.offsets[0]].reshape(K, k, k) + self.pad
+        E = M[self.offsets[0] : self.offsets[1]].reshape(K, k, s)
+        S = M[self.offsets[1] :].reshape(s, s)
+        Li = _inv_chol(H)
+        LiE = Li @ E
+        HiE = _mT(Li) @ LiE
+        Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE))
+
+        def once(r: np.ndarray) -> np.ndarray:
+            ext = np.append(r, 0.0)
+            hr = (_mT(Li) @ (Li @ ext[self.local][..., None]))[..., 0]
+            dS = Lr.T @ (Lr @ (r[self.shared] - np.einsum("gas,ga->s", E, hr)))
+            out = np.zeros(self.m + 1)
+            out[self.local] = hr - HiE @ dS
+            out[self.shared] = dS
+            return out[: self.m]
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            dy = once(r)
+            for _ in range(2):
+                ext = np.append(dy, 0.0)
+                dL, dS = ext[self.local], dy[self.shared]
+                Mdy = np.zeros(self.m + 1)
+                Mdy[self.local] = (H @ dL[..., None])[..., 0] + E @ dS
+                Mdy[self.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
+                dy = dy + once(r - Mdy[: self.m])
+            return dy
+
+        return solve
+
+
+def _inv_chol(A: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of each matrix of the stack A, after a
+    diagonal shift of 1e-13 of the largest entry if rounding defeats it."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
+        d = 1e-13 * np.abs(np.diagonal(A, axis1=-2, axis2=-1)).max(-1, initial=0.0)
+        A = A + d[..., None, None] * np.eye(A.shape[-1])
+        return np.linalg.inv(np.linalg.cholesky(A))
+
+
+def _factor(W: list[np.ndarray], Z: list[np.ndarray]) -> list[np.ndarray]:
+    """_inv_chol of every W and Z matrix, stacked per size as [W; Z]."""
+    return [_inv_chol(np.concatenate(AB)) for AB in zip(W, Z)]
+
+
+def _steps(L: list[np.ndarray], dW: list[np.ndarray], dZ: list[np.ndarray]):
+    """_STEP times the largest a <= 1/_STEP that keeps W + a dW PSD, and the
+    same for Z + a dZ, each capped at 1; L as _factor returns it."""
+    lows = []
+    for Li, A, B in zip(L, dW, dZ):
+        low = np.linalg.eigvalsh(Li @ np.concatenate([A, B]) @ _mT(Li))[:, 0]
+        lows.append((low[: len(A)].min(), low[len(A) :].min()))
+    return tuple(1.0 if x >= 0 else min(1.0, -_STEP / x) for x in np.min(lows, axis=0))
+
+
+def solve(
+    b: np.ndarray, blocks: list[Block], y0: np.ndarray, group: np.ndarray
+) -> Solution:
+    """Maximize b.y subject to every block, starting from y0.
+
+    group labels each variable (see the module docstring). Raises ValueError
+    when y0 is not strictly feasible.
+    """
+    prob = _Problem(blocks, np.asarray(group))
+    N = sum(g * d for g, d in prob.shapes)
+    y = np.asarray(y0, dtype=float).copy()
+    Z = prob.split(prob.F0 + prob.lin(y))
+    try:
+        W = [_sym(np.linalg.inv(A)) for A in Z]
+        L = _factor(W, Z)
+    except np.linalg.LinAlgError:
+        raise ValueError("the starting point is not strictly feasible") from None
+    best, stall, moved = None, 0, True
+    for _ in range(_MAX_ITER):
+        Zi = [_mT(A[len(A) // 2 :]) @ A[len(A) // 2 :] for A in L]
+        primal = float(b @ y)
+        dual = float(prob.F0 @ np.concatenate([A.ravel() for A in W]))
+        rp = b + prob.adjoint(W)
+        gap = abs(dual - primal) / (1 + abs(primal))
+        err = max(gap, float(np.linalg.norm(rp) / (1 + np.linalg.norm(b))))
+        if best is None or err < best[0]:
+            best, stall = (err, y, W, primal, dual), 0
+        else:
+            stall += 1
+        if err <= _TOL or (best[0] <= _ACCEPT and stall == _STALL) or not moved:
+            break
+        try:
+            newton = prob.schur(W, Zi)
+            mu = sum(float(np.sum(A * B)) for A, B in zip(W, Z)) / N
+
+            # Predictor: the affine-scaling direction.
+            dy = newton(b)
+            dZ = prob.split(prob.lin(dy))
+            dW = [-A - _sym(A @ D @ Q) for A, D, Q in zip(W, dZ, Zi)]
+            ap, ad = _steps(L, dW, dZ)
+            pairs = zip(W, dW, Z, dZ)
+            mu_a = sum(np.sum((A + ap * dA) * (B + ad * dB)) for A, dA, B, dB in pairs)
+            sigma = min(1.0, max(0.0, float(mu_a) / N / mu)) ** 3
+
+            # Corrector: centering plus the second-order term.
+            corr = [sigma * mu * Q - dA @ dB @ Q for Q, dA, dB in zip(Zi, dW, dZ)]
+            dy = newton(b + prob.adjoint(corr))
+            dZ = prob.split(prob.lin(dy))
+            dW = [_sym(C) - A - _sym(A @ D @ Q) for C, A, D, Q in zip(corr, W, dZ, Zi)]
+            ap, ad = _steps(L, dW, dZ)
+            y_new = y + ad * dy
+            Z_new = prob.split(prob.F0 + prob.lin(y_new))
+            W_new = [A + ap * dA for A, dA in zip(W, dW)]
+            L = _factor(W_new, Z_new)
+        except np.linalg.LinAlgError:
+            break  # numerical breakdown: keep the best iterate
+        y, Z, W, moved = y_new, Z_new, W_new, max(ap, ad) > 1e-12
+    err, y, W, primal, dual = best
+    back = np.argsort(prob.order)
+    W = [A for stack in W for A in stack]
+    return Solution(y, [W[i] for i in back], primal, dual, err <= _ACCEPT)

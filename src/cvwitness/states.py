@@ -236,7 +236,9 @@ def builtin_state(name: str) -> CVState:
     """Bundled example states.
 
     "ppt4": four-mode bound-entangled state, positive under every (2,2)
-    partial transpose yet entangled across every bipartition; no error model.
+    partial transpose; the optimal margin is 0.11536 on 1|234, 2|134, 3|124,
+    4|123 and 12|34, while 13|24 and 14|23 stay undecided at margin 0, as the
+    state sits on the physicality boundary. No error model.
     "klev4": measured four-mode covariance with per-element standard
     deviations (5-decimal published values).
     "vacuum4": separable negative control, vacuum blocks with uniform 1%

@@ -3,9 +3,11 @@
 Measured covariances come with per-element standard deviations, so a witness
 value G is only trusted up to sigma(X, P). A partition is refuted at level s
 when G + s*sigma still falls below the separability bound B_I. This module
-scores witnesses, converts levels to confidences, and searches for violating
-witnesses: random rank-one sampling, convex single-partition optimization,
-and a multi-bipartition descent for genuine multipartite entanglement.
+scores witnesses, converts levels to confidences, and finds violating
+witnesses: random rank-one sampling, and the exact optimum per partition or
+for genuine multipartite entanglement from one convex program (see _lift).
+The optimum comes with the solver's duality gap, and the seed does not
+change it.
 """
 from __future__ import annotations
 
@@ -15,28 +17,22 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import erfc, isfinite, sqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import sdp
 from .bounds import (
-    BlockPlan,
     BoundResult,
     WitnessPair,
     block_indices,
     evaluate_G,
-    partition_bound,
     separability_bound,
 )
 from .partitions import Partition, bipartitions
 from .states import CVState
 
 _BATCH = 65536
-# Disjoint Philox stream ids: random-search batches use indices < 2^40.
-_OPT_STREAM = 2**63
-_GENUINE_STREAM = 2**62
-
-IterateCallback = Callable[[int, np.ndarray, np.ndarray, float], None]
 
 
 class MissingErrorModel(ValueError):
@@ -60,6 +56,7 @@ class ViolationReport:
     witness: WitnessPair
     certificate: BoundResult
     converged: bool = True
+    gap: float | None = None  # duality gap of the solver; None off the solver
 
 
 @dataclass(frozen=True)
@@ -131,6 +128,24 @@ def violation_score(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport
     score = (cert.value - G) / sigma
     conf = erfc(score / sqrt(2.0)) if score >= 0 else 1.0
     return ViolationReport(p, G, sigma, cert.value, score, conf, w, cert)
+
+
+def _margin_report(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport:
+    """Scorecard without the error model: the raw margin only."""
+    cert = separability_bound(w, p)
+    return ViolationReport(p, evaluate_G(w, s), None, cert.value, None, None, w, cert)
+
+
+def rounding_bound(w: WitnessPair, s: CVState) -> float:
+    """Bound on the rounding error of a computed margin B_I - G.
+
+    G and each block's eigenvalue sum are sums of at most n^2 products, so
+    their errors are a modest multiple of n eps (|X| |gamma_xx| + |P|
+    |gamma_pp|), Frobenius norms; the factor 64 covers the eigensolver.
+    """
+    x, p = np.linalg.norm(w.X), np.linalg.norm(w.P)
+    scale = x * np.linalg.norm(s.gamma_xx) + p * np.linalg.norm(s.gamma_pp)
+    return float(64 * w.n * np.finfo(float).eps * scale)
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -235,114 +250,100 @@ def random_rank_one_search(
         if score == -np.inf:
             raise ZeroSigma("every trial had zero sigma; check the error model")
         win = WitnessPair(np.outer(h, h), np.outer(g, g))
-        if no_error:
-            cert = separability_bound(win, q)
-            reports.append(
-                ViolationReport(
-                    q, evaluate_G(win, s), None, cert.value, None, None, win, cert
-                )
-            )
-        else:
-            reports.append(violation_score(win, s, q))
+        report = _margin_report(win, s, q) if no_error else violation_score(win, s, q)
+        reports.append(report)
     return reports[0] if single else reports
 
 
 _NONPOSITIVE_G = "witness has nonpositive G; cannot normalize"
 
 
-def _rescale_to_C(
-    X: np.ndarray, P: np.ndarray, s: CVState, C: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale each pair of two (m, n, n) stacks to G = C.
+def _lift(
+    s: CVState, cuts: Sequence[Partition], shared: bool, score: bool, C: float
+) -> list[tuple[WitnessPair, float, bool]]:
+    """Solve the lifted SDP: one (witness at G = C, gap, converged) per copy.
 
-    Returns (X, P, ok); a pair with G <= 0 cannot be normalized, so ok is
-    False there and that pair is meaningless.
+    B(X_bb, P_bb) = max{tr Y : [[X_bb, Y], [Y^T, P_bb]] PSD}, so one Y per
+    block makes B_I linear, with X, P PSD. shared=True gives one witness for
+    all cuts, otherwise one copy per cut. Margin mode maximizes
+    sum_b tr Y_b - C subject to G <= C. Score mode maximizes t subject to
+    sigma(X, P) <= 1 (an arrow LMI) and sum_b tr Y_Ib - G >= t for every cut
+    I of the copy. The score is scale invariant, so t is the best min_I s_I
+    if that is positive; else t = 0 and the witness only shows s <= 0. Each
+    cut's Y, or each copy of its own, is one group of the solver.
     """
-    G = np.sum(X * s.gamma_xx, axis=(1, 2)) + np.sum(P * s.gamma_pp, axis=(1, 2))
-    ok = G > 0
-    f = (C / np.where(ok, G, 1.0))[:, None, None]
-    return f * X, f * P, ok
-
-
-def _normalized(
-    X: np.ndarray, P: np.ndarray, s: CVState, C: float
-) -> tuple[np.ndarray, np.ndarray]:
-    (X,), (P,), (ok,) = _rescale_to_C(X[None], P[None], s, C)
-    if not ok:
-        raise ValueError(_NONPOSITIVE_G)
-    return X, P
-
-
-def _project(
-    X: np.ndarray, P: np.ndarray, s: CVState, C: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip each pair of two (m, n, n) stacks onto the PSD cone (one stacked
-    eigh for both), then rescale as _rescale_to_C does."""
-    A = np.concatenate([X, P])
-    w, V = np.linalg.eigh((A + A.transpose(0, 2, 1)) / 2.0)
-    out = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
-    out = (out + out.transpose(0, 2, 1)) / 2.0
-    return _rescale_to_C(out[: len(X)], out[len(X) :], s, C)
-
-
-def _tangent(
-    gX: np.ndarray, gP: np.ndarray, s: CVState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remove from each gradient of two (m, n, n) stacks its component along
-    the normalization constraint."""
-    gxx, gpp = s.gamma_xx, s.gamma_pp
-    coef = (np.sum(gX * gxx, axis=(1, 2)) + np.sum(gP * gpp, axis=(1, 2))) / float(
-        np.sum(gxx * gxx) + np.sum(gpp * gpp)
-    )
-    coef = coef[:, None, None]
-    return gX - coef * gxx, gP - coef * gpp
-
-
-def _backtrack(
-    t0: np.ndarray,
-    floor: float,
-    trial: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, tuple]],
-) -> list:
-    """Backtracking line search on several lanes at once.
-
-    Lane i tries the steps t0[i], t0[i]/2, t0[i]/4, ... while they stay
-    above floor and stops at the first candidate trial marks, exactly as a
-    loop halving one step at a time would (halving is exact). The ladders
-    are evaluated in chunks of 1, 2, 4, ... steps per lane, one trial call
-    per chunk for every lane still searching. trial(lane, t) scores the
-    candidates lane[c] at step t[c] and returns (stop, payload), payload
-    being a tuple of arrays indexed by candidate. Returns, per lane, None
-    when its ladder ran out, otherwise (t, payload row) of its stop.
-    """
-    found = [None] * len(t0)
-    lanes = np.arange(len(t0))
-    first, size = 0, 1
-    while lanes.size:
-        t = np.ldexp(t0[lanes, None], -np.arange(first, first + size))
-        live = t > floor
-        rows, cols = np.nonzero(live)
-        if not rows.size:
-            break
-        lane = lanes[rows]
-        stop, payload = trial(lane, t[rows, cols])
-        for c in np.flatnonzero(stop)[::-1]:  # the first stop of a lane wins
-            found[lane[c]] = (t[rows[c], cols[c]], tuple(a[c] for a in payload))
-        keep = [i for i, j in enumerate(lanes) if found[j] is None and live[i, -1]]
-        lanes = lanes[keep]
-        first, size = first + size, 2 * size
-    return found
-
-
-def _random_pd_start(
-    s: CVState, cfg: SearchConfig, stream: int
-) -> tuple[np.ndarray, np.ndarray]:
-    gen = _batch_rng(cfg.seed, stream)
     n = s.n
-    R1 = gen.standard_normal((n, n))
-    R2 = gen.standard_normal((n, n))
-    X = R1.T @ R1 + 0.1 * np.eye(n)
-    P = R2.T @ R2 + 0.1 * np.eye(n)
-    return _normalized(X, P, s, cfg.C)
+    iu = np.triu_indices(n)
+    nt = iu[0].size
+    tri = np.zeros((n, n), dtype=int)
+    tri[iu] = tri[iu[::-1]] = np.arange(nt)
+    twice = np.tile(np.where(iu[0] == iu[1], 1.0, 2.0), 2)  # off-diagonals count twice
+    gam = twice * np.concatenate([s.gamma_xx[iu], s.gamma_pp[iu]])
+    diag = (twice == 1.0) * 1.0
+    if score:
+        _require_model(s)
+        sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
+        eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
+    else:
+        eps = 0.5 * C / float(gam @ diag)  # G = C/2
+    if not eps > 0:
+        raise ValueError(_NONPOSITIVE_G)
+    gain, y0, group, blocks, spans = [], [], [], [], []
+
+    def var(count, label, init=0.0, b=0.0):
+        first = sum(map(len, gain))
+        for out, value in ((gain, b), (y0, init), (group, label)):
+            out.append(np.broadcast_to(value, (count,)))
+        return np.arange(first, first + count)
+
+    def block(F0, v, row, col, coef):
+        blocks.append(sdp.Block(np.atleast_2d(F0), v, *map(np.asarray, (row, col, coef))))
+
+    for c, members in enumerate([cuts] if shared else [[q] for q in cuts]):
+        first = (sum(map(len, gain)), len(blocks))
+        label = -1 if shared else c
+        XP = var(2 * nt, label, eps * diag)
+        t = var(1, label, -eps * float(gam @ diag) - 1.0, 1.0) if score else XP[:0]
+        block(np.zeros((n, n)), XP[:nt], *iu, np.ones(nt))
+        block(np.zeros((n, n)), XP[nt:], *iu, np.ones(nt))
+        if score:
+            arrow = np.arange(1, 2 * nt + 1)
+            block(np.eye(2 * nt + 1), XP, 0 * arrow, arrow, sd)
+        else:
+            block(C, XP, 0 * XP, 0 * XP, -gam)
+        for j, q in enumerate(members):
+            terms = [(XP, -gam), (t, -np.ones(t.size))]
+            for idx in block_indices(q):
+                k = idx.size
+                a, e = np.divmod(np.arange(k * k), k)
+                Y = var(k * k, j if shared else c, 0.0, (a == e) * (not score))
+                up = a <= e
+                sub = tri[idx[a[up]], idx[e[up]]]
+                v = np.concatenate([XP[sub], XP[nt + sub], Y])
+                rows = np.concatenate([a[up], k + a[up], a])
+                cols = np.concatenate([e[up], k + e[up], k + e])
+                block(np.zeros((2 * k, 2 * k)), v, rows, cols, np.ones(v.size))
+                terms.append((Y[a == e], np.ones(k)))
+            if score:
+                v, coef = map(np.concatenate, zip(*terms))
+                block(0.0, v, 0 * v, 0 * v, coef)
+        spans.append(first + (sum(map(len, gain)), len(blocks)))
+
+    b = np.concatenate(gain)
+    sol = sdp.solve(b, blocks, np.concatenate(y0), np.concatenate(group))
+    out = []
+    for v0, k0, v1, k1 in spans:
+        dual = sum(float(np.sum(blocks[j].F0 * sol.W[j])) for j in range(k0, k1))
+        xp = sol.y[v0 : v0 + 2 * nt]
+        G = float(gam @ xp)
+        if not G > 0:
+            raise ValueError(_NONPOSITIVE_G)
+        X, P = np.zeros((2, n, n))
+        X[iu], P[iu] = xp[:nt], xp[nt:]
+        X, P = (C / G) * (X + np.triu(X, 1).T), (C / G) * (P + np.triu(P, 1).T)
+        gap = abs(dual - float(b[v0:v1] @ sol.y[v0:v1]))
+        out.append((WitnessPair(X, P), gap, sol.converged))
+    return out
 
 
 def optimize_witness(
@@ -350,39 +351,22 @@ def optimize_witness(
     p: Partition | Sequence[Partition],
     cfg: SearchConfig = SearchConfig(),
     *,
-    max_iter: int = 2000,
-    tol: float = 1e-10,
-    callback: IterateCallback | None = None,
     no_error: bool = False,
 ) -> ViolationReport | list[ViolationReport]:
-    """Minimize s_level*sigma(X,P) - B_I(X,P) over witnesses with G = C.
+    """The optimal witness for each partition, with its duality gap.
 
-    Projected gradient descent: each step is eigenvalue-clipped onto the PSD
-    cone and rescaled so the normalization holds exactly, with a
-    backtracking line search. The descent stops when the projected gradient
-    vanishes, when no step above 1e-14 decreases the objective enough, or
-    after five steps in a row that barely lowered it. converged=True records
-    one of these stops and does not certify the constrained optimum: the
-    clip-then-rescale step is not a projection onto the feasible set and
-    B_I is not smooth at rank-deficient blocks, so a stall can sit well
-    short of it. A value below -C certifies non-p-separability at level
-    s_level. With no_error=True (or no error model at s_level = 0) the sigma
-    term is dropped and the report carries the raw margin only.
-
-    p is one partition, which returns one report, or a sequence of
-    partitions, which returns one report per partition in that order. The
-    descents of a sequence start from the same point and run in lockstep:
-    each iteration takes one gradient call over the partitions still
-    running and evaluates their line searches together, so each report
-    equals that of a call on its partition alone. The callback sees
-    (iteration, X, P, value) once per running partition and iteration, in
-    partition order.
+    With an error model (and no_error=False) it maximizes the score
+    s = (B_I - G)/sigma, otherwise the raw margin B_I - G at G = C (the
+    report then carries the margin only). The witness is rescaled to G = C
+    and rescored through violation_score or separability_bound; the gap says
+    how far from the optimum it can be. s_level > 0 needs an error model and
+    no_error=True needs s_level = 0. p is one partition (one report) or a
+    sequence (one report each, in order, each with its own witness).
     """
     single = isinstance(p, Partition)
     parts = [p] if single else list(p)
     if no_error and cfg.s_level > 0:
         raise ValueError("no_error scoring requires s_level == 0")
-    use_model = s.has_error_model and not no_error
     if cfg.s_level > 0:
         _require_model(s)
     for q in parts:
@@ -390,189 +374,32 @@ def optimize_witness(
             raise ValueError(f"state is {s.n}-mode but partition is over {q.n}")
     if not parts:
         return []
-    plan = BlockPlan(parts)
-    if use_model:
-        sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
-    else:
-        sxx2 = spp2 = np.zeros((s.n, s.n))
-
-    def objective(X, P, which):
-        sigma = np.sqrt(
-            np.sum(X**2 * sxx2, axis=(1, 2)) + np.sum(P**2 * spp2, axis=(1, 2))
-        )
-        bound = partition_bound(X, P, plan, which)[0]
-        return cfg.s_level * sigma - bound, sigma
-
-    def trial(lane, t):
-        # Steps down from the running iterates Xr, Pr along gX, gP.
-        tt = t[:, None, None]
-        Xn, Pn, ok = _project(
-            Xr[lane] - tt * gX[lane], Pr[lane] - tt * gP[lane], s, cfg.C
-        )
-        vn, sn = objective(Xn, Pn, r[lane])
-        accept = vn <= value[r[lane]] - 1e-4 * t * gnorm2[lane]
-        return ~ok | accept, (Xn, Pn, vn, sn, ok)
-
-    m = len(parts)
-    X0, P0 = _random_pd_start(s, cfg, _OPT_STREAM)
-    X, P = [X0] * m, [P0] * m
-    value, sigma = objective(np.stack(X), np.stack(P), np.arange(m))
-    step = np.full(m, 0.1)
-    streak = [0] * m
-    converged = [False] * m
-    running = list(range(m))
-    for it in range(1, max_iter + 1):
-        if not running:
-            break
-        if callback is not None:
-            for j in running:
-                callback(it, X[j], P[j], float(value[j]))
-        r = np.array(running)
-        Xr, Pr = np.stack([X[j] for j in r]), np.stack([P[j] for j in r])
-        _, bX, bP = partition_bound(Xr, Pr, plan, r, gradient=True)
-        sig = sigma[r][:, None, None]
-        pos = sig > 0
-        div = np.where(pos, sig, 1.0)
-        gX = np.where(pos, cfg.s_level * Xr * sxx2 / div - bX, -bX)
-        gP = np.where(pos, cfg.s_level * Pr * spp2 / div - bP, -bP)
-        gX, gP = _tangent(gX, gP, s)
-        gnorm2 = np.sum(gX * gX, axis=(1, 2)) + np.sum(gP * gP, axis=(1, 2))
-        flat = np.sqrt(gnorm2) < 1e-12
-        for j in r[flat]:
-            converged[j] = True
-        r, Xr, Pr, gX, gP, gnorm2 = (a[~flat] for a in (r, Xr, Pr, gX, gP, gnorm2))
-
-        for j, found in zip(r, _backtrack(step[r], 1e-14, trial)):
-            if found is None:
-                converged[j] = True  # no step above the floor helps
-                continue
-            t, (Xn, Pn, vn, sn, ok) = found
-            if not ok:
-                raise ValueError(_NONPOSITIVE_G)
-            step[j] = min(1.0, 2.0 * t)
-            drop = value[j] - vn
-            small = drop <= tol * max(1.0, abs(value[j]))
-            streak[j] = streak[j] + 1 if small else 0
-            X[j], P[j], value[j], sigma[j] = Xn, Pn, vn, sn
-            if streak[j] >= 5:
-                converged[j] = True
-        running = [j for j in running if not converged[j]]
-
+    score = s.has_error_model and not no_error
     reports = []
-    for j, q in enumerate(parts):
-        final = WitnessPair(X[j], P[j])
-        if use_model:
-            report = violation_score(final, s, q)
-        else:
-            cert = separability_bound(final, q)
-            report = ViolationReport(
-                q, evaluate_G(final, s), None, cert.value, None, None, final, cert
-            )
-        reports.append(report if converged[j] else replace(report, converged=False))
+    for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, score, cfg.C)):
+        report = violation_score(w, s, q) if score else _margin_report(w, s, q)
+        reports.append(replace(report, converged=ok, gap=gap))
     return reports[0] if single else reports
 
 
 def genuine_search(
-    s: CVState,
-    cfg: SearchConfig = SearchConfig(),
-    *,
-    start: WitnessPair | None = None,
-    restarts: int = 200,
-    max_iter: int = 300,
-    callback: IterateCallback | None = None,
+    s: CVState, cfg: SearchConfig = SearchConfig()
 ) -> tuple[bool, WitnessPair, list[ViolationReport]]:
-    """Seek one witness violating every bipartition at level cfg.s_level.
+    """The witness with the largest min over bipartitions I of s_I.
 
-    Works on the scores s_I = (B_I - G)/sigma directly (driving every E_I =
-    G + s_level*sigma - B_I negative is the same as driving every s_I above
-    s_level, and the scores are scale invariant). Each step averages the
-    score gradients over the currently worst bipartitions (those within 0.2
-    of the minimum; gradients of comfortably satisfied conditions would
-    drown out the binding ones) and backtracks until the minimum score
-    strictly improves. When no step helps, the gradients are in conflict and
-    the search restarts from a fresh random PD pair. The returned reports
-    recompute every score independently of the search bookkeeping.
+    One SDP in score mode over every bipartition with one shared witness
+    (see _lift); FOUND when every rescored s_I reaches cfg.s_level. The
+    result does not depend on cfg.seed, and each report carries the gap.
     """
     _require_model(s)
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
     bips = bipartitions(s.n)
-    plan = BlockPlan(bips)
-    sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
-    gxx, gpp = s.gamma_xx, s.gamma_pp
-    target = cfg.s_level
-
-    def scores(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Scores of each witness of two (m, n, n) stacks against every
-        # bipartition; ok is False where sigma vanishes (scores undefined).
-        G = np.sum(X * gxx, axis=(1, 2)) + np.sum(P * gpp, axis=(1, 2))
-        sigma = np.sqrt(
-            np.sum(X**2 * sxx2, axis=(1, 2)) + np.sum(P**2 * spp2, axis=(1, 2))
-        )
-        ok = sigma > 0
-        values = partition_bound(X, P, plan)[0]
-        return (values - G[:, None]) / np.where(ok, sigma, 1.0)[:, None], ok
-
-    def trial(lane, t):
-        # Steps up from the current iterate (X, P) along (gX, gP).
-        tt = t[:, None, None]
-        Xn, Pn, ok = _project(X + tt * gX, P + tt * gP, s, cfg.C)
-        nxt, defined = scores(Xn, Pn)
-        return ~ok | (defined & (nxt.min(axis=1) > low)), (Xn, Pn, nxt, ok)
-
-    best_min = -np.inf
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    success = False
-    for attempt in range(restarts + 1):
-        if attempt == 0 and start is not None:
-            X, P = _normalized(start.X, start.P, s, cfg.C)
-        else:
-            X, P = _random_pd_start(s, cfg, _GENUINE_STREAM + attempt)
-        (cur,), (defined,) = scores(X[None], P[None])
-        if not defined:
-            continue
-        for it in range(max_iter):
-            low = float(cur.min())
-            if callback is not None:
-                callback(it, X, P, low)
-            if low > best_min:
-                best_min = low
-                best_pair = (X.copy(), P.copy())
-            if low >= target:
-                success = True
-                break
-            G = float(np.sum(X * gxx) + np.sum(P * gpp))
-            sigma = float(np.sqrt(np.sum(X**2 * sxx2) + np.sum(P**2 * spp2)))
-            dsX = X * sxx2 / sigma
-            dsP = P * spp2 / sigma
-            gX = np.zeros_like(X)
-            gP = np.zeros_like(P)
-            active = np.flatnonzero(cur < low + 0.2)
-            bvals, bX, bP = partition_bound(X, P, plan, gradient=True)
-            for k in active:
-                gX += (bX[k] - gxx) / sigma - (bvals[k] - G) * dsX / sigma**2
-                gP += (bP[k] - gpp) / sigma - (bvals[k] - G) * dsP / sigma**2
-            gX /= active.size
-            gP /= active.size
-            (hit,) = _backtrack(np.array([0.1]), 1e-12, trial)
-            if hit is None:
-                break  # conflicting gradients: restart
-            _, (X, P, cur, ok) = hit
-            if not ok:
-                raise ValueError(_NONPOSITIVE_G)
-        if success:
-            break
-
-    if best_pair is not None:
-        X, P = best_pair
-    witness = WitnessPair(X, P)
-    reports = [violation_score(witness, s, p) for p in bips]
-    found = success and all(
-        r.s is not None and r.s >= target - 1e-6 for r in reports
-    )
-    return found, witness, reports
+    ((witness, gap, ok),) = _lift(s, bips, True, True, cfg.C)
+    reports = [
+        replace(violation_score(witness, s, q), converged=ok, gap=gap) for q in bips
+    ]
+    return all(r.s >= cfg.s_level for r in reports), witness, reports
 
 
 def _describe_witness(w: WitnessPair) -> str:
@@ -605,7 +432,7 @@ def report_to_dict(r: ViolationReport) -> dict:
             "P": r.certificate.certificate_P.tolist(),
         },
         "converged": r.converged,
-    }
+    } | ({} if r.gap is None else {"gap": r.gap})
 
 
 def reports_to_json(reports: Sequence[ViolationReport]) -> str:

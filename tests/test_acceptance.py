@@ -139,11 +139,16 @@ def test_criterion_5_genuine_search(klev4, genuine_witness):
     assert all(r.s >= 4.0 - 1e-6 for r in reports)
     assert time.perf_counter() - begin < 1800.0
 
-    found, _, reports = genuine_search(klev4, cfg, start=genuine_witness, restarts=0)
-    assert found
-    assert min(r.s for r in reports) == pytest.approx(4.43, abs=0.01)
+    # The optimum beats the reference witness (min s 4.43, criterion 3).
+    reference = min(
+        (separability_bound(genuine_witness, p).value - evaluate_G(genuine_witness, klev4))
+        / measurement_sigma(genuine_witness, klev4)
+        for p in bipartitions(4)
+    )
+    smin = min(r.s for r in reports)
+    assert smin >= 10.6 and smin >= reference
     elapsed = time.perf_counter() - begin
-    print(f"criterion 5: PASS (found from scratch and from the reference start, {elapsed:.1f}s)")
+    print(f"criterion 5: PASS (found, min s {smin:.2f} against the reference {reference:.2f}, {elapsed:.1f}s)")
 
 
 def test_criterion_6_property_suites(klev4):

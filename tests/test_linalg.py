@@ -8,7 +8,6 @@ from cvwitness.linalg import (
     NotPSD,
     SingularGradient,
     alt_inequality_gap,
-    eig_sym,
     quantum_bound,
     quantum_bound_gradient,
     sqrt_psd,
@@ -43,14 +42,6 @@ def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(NotPSD) as info:
         sqrt_psd(np.diag([1.0, -0.5]))
     assert info.value.min_eigenvalue == pytest.approx(-0.5)
-
-
-def test_eig_sym_descending():
-    gen = np.random.default_rng(3)
-    A = _psd(gen, 6)
-    w, V = eig_sym(A)
-    assert np.all(np.diff(w) <= 0)
-    assert np.allclose((V * w) @ V.T, A, atol=1e-9)
 
 
 def test_quantum_bound_identity():

@@ -143,17 +143,18 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     return BoundResult(float(partition_bound(w.X, w.P, BlockPlan([p]))[0]), X0, P0)
 
 
-def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float:
+def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float | np.ndarray:
     """Partition bound for the rank-one pair X=hh^T, P=gg^T: sum over blocks
-    of |sum_{i in block} h_i g_i|; never below |<h,g>|."""
-    h = np.asarray(h, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
-    if h.shape != g.shape:
-        raise ValueError(f"h and g lengths differ: {h.size} vs {g.size}")
-    if h.size != p.n:
-        raise ValueError(f"vectors have {h.size} modes but partition is over {p.n}")
-    prod = h * g
-    return float(sum(abs(prod[[i - 1 for i in block]].sum()) for block in p.blocks))
+    of |sum_{i in block} h_i g_i|; never below |<h,g>|. Vectors give a float,
+    stacked (t, n) rows t values, each with the bits of its own vector."""
+    h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
+    if h.shape != g.shape or h.ndim not in (1, 2):
+        raise ValueError(f"h and g must be vectors or rows alike: {h.shape}, {g.shape}")
+    if h.shape[-1] != p.n:
+        raise ValueError(f"h and g have {h.shape[-1]} modes, partition has {p.n}")
+    prod = h * g  # each block is summed left to right, whatever the row count
+    total = sum(np.abs(sum(prod[..., i] for i in b)) for b in block_indices(p))
+    return float(total) if h.ndim == 1 else total
 
 
 def lmi_separability_test(

@@ -27,12 +27,14 @@ from .bounds import (
     WitnessPair,
     block_indices,
     evaluate_G,
+    rank_one_bound,
     separability_bound,
 )
 from .partitions import Partition, bipartitions
 from .states import CVState
 
 _BATCH = 65536
+_PROBE = 64  # top trials per batch that set its pruning threshold
 
 
 class MissingErrorModel(ValueError):
@@ -150,6 +152,8 @@ def rounding_bound(w: WitnessPair, s: CVState) -> float:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -168,6 +172,11 @@ def _quad(V: np.ndarray, A: np.ndarray) -> np.ndarray:
     which would pile onto the search's own thread pool.
     """
     return np.einsum("tj,tj->t", np.einsum("ti,ij->tj", V, A), V)
+
+
+def _trial_bound(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per row, sum_i |h_i g_i| (1 + 1e-12): see random_rank_one_search."""
+    return np.abs(H * G).sum(axis=1) * (1 + 1e-12)
 
 
 def random_rank_one_search(
@@ -192,6 +201,17 @@ def random_rank_one_search(
     Each winner is rescored through separability_bound. With no_error=True
     the error model is ignored and trials are ranked by the raw margin
     B_I - G instead of the significance level.
+
+    A partition is scored only on the trials whose bound u_t, the score with
+    S_t = sum_i |h_i g_i| (1 + 1e-12) in place of B_I (_trial_bound), reaches
+    theta: the smallest over partitions of the best score on the _PROBE
+    trials of largest u. Proof that the computed u_t is at least every
+    computed score of trial t: |sum_b h_i g_i| <= sum_b |h_i g_i|, so exact
+    S bounds every exact B_I; float sums of n terms keep the computed B_I
+    below S (1 + 2n eps) and the computed S above S (1 - n eps), a gap the
+    slack covers up to n = 1000; subtracting G and dividing by sigma round
+    monotonically. So each winner, scoring at least theta, is among the
+    trials scored, which stay in index order for ties.
     """
     single = isinstance(p, Partition)
     parts = [p] if single else list(p)
@@ -201,10 +221,10 @@ def random_rank_one_search(
     for q in parts:
         if q.n != n:
             raise ValueError(f"state is {n}-mode but partition is over {q.n}")
-    workers = _resolve_threads(threads)
+    batches = range((cfg.trials + _BATCH - 1) // _BATCH)
+    workers = min(_resolve_threads(threads), len(batches))
     if not parts:
         return []
-    blocks_of = [block_indices(q) for q in parts]
     gxx, gpp = s.gamma_xx, s.gamma_pp
     if not no_error:
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
@@ -217,7 +237,6 @@ def random_rank_one_search(
         else:
             Z = gen.uniform(-1.0, 1.0, (size, 2 * n))
         H, G_ = Z[:, :n], Z[:, n:]
-        prod = H * G_
         gval = _quad(H, gxx) + _quad(G_, gpp)
         if not no_error:
             H2, G2 = H**2, G_**2
@@ -225,20 +244,25 @@ def random_rank_one_search(
             del H2, G2
             ok = var > 0
             scale = np.sqrt(np.where(ok, var, 1.0))
+
+        def score(bound, rows):
+            m = bound - gval[rows]
+            return m if no_error else np.where(ok[rows], m / scale[rows], -np.inf)
+
+        def rank_one(q, rows):
+            return score(rank_one_bound(H[rows], G_[rows], q), rows)
+
+        upper = score(_trial_bound(H, G_), slice(None))
+        probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
+        theta = min(rank_one(q, probe).max() for q in parts)
+        cand = np.flatnonzero(upper >= theta)
         best = []
-        for blocks in blocks_of:
-            bound = np.zeros(size)
-            for idx in blocks:
-                bound += np.abs(prod[:, idx].sum(axis=1))
-            if no_error:
-                score = bound - gval
-            else:
-                score = np.where(ok, (bound - gval) / scale, -np.inf)
-            k = int(np.argmax(score))
-            best.append((float(score[k]), b * _BATCH + k, H[k].copy(), G_[k].copy()))
+        for q in parts:
+            sc = rank_one(q, cand)
+            k = int(cand[np.argmax(sc)])  # first maximum: lowest trial index
+            best.append((float(sc.max()), b * _BATCH + k, H[k].copy(), G_[k].copy()))
         return best
 
-    batches = range((cfg.trials + _BATCH - 1) // _BATCH)
     if workers == 1:
         results = [run_batch(b) for b in batches]
     else:

@@ -2,7 +2,9 @@
 
 The oracle below regenerates the documented trial streams (65536-trial
 batches, Philox keyed by (seed, batch)) and scores every trial in plain
-numpy, sharing no code with the search beyond the public entry point.
+numpy, sharing no code with the search beyond the public entry point. The
+search itself scores a partition only on the trials that its per-trial
+bound cannot rule out, so agreement with the oracle checks the pruning.
 """
 from __future__ import annotations
 
@@ -10,13 +12,16 @@ import numpy as np
 import pytest
 
 from cvwitness import (
+    Partition,
     SearchConfig,
     ZeroSigma,
     bipartitions,
     make_state,
     parse_partition,
     random_rank_one_search,
+    rank_one_bound,
 )
+from cvwitness import witness
 
 BATCH = 65536
 
@@ -67,7 +72,9 @@ def test_sweep_equals_per_partition_calls(request, name, distribution, no_error)
             _assert_same(a, b)
 
 
-def _oracle_winners(state, parts, seed: int, trials: int, distribution: str):
+def _oracle_winners(
+    state, parts, seed: int, trials: int, distribution: str, no_error: bool = False
+):
     n = state.n
     draws = []
     for b in range((trials + BATCH - 1) // BATCH):
@@ -82,17 +89,18 @@ def _oracle_winners(state, parts, seed: int, trials: int, distribution: str):
     gval = ((H @ state.gamma_xx) * H).sum(axis=1) + ((G @ state.gamma_pp) * G).sum(
         axis=1
     )
-    H2, G2 = H**2, G**2
-    var = ((H2 @ state.sigma_xx**2) * H2).sum(axis=1) + (
-        (G2 @ state.sigma_pp**2) * G2
-    ).sum(axis=1)
+    if not no_error:
+        H2, G2 = H**2, G**2
+        var = ((H2 @ state.sigma_xx**2) * H2).sum(axis=1) + (
+            (G2 @ state.sigma_pp**2) * G2
+        ).sum(axis=1)
     winners = []
     for p in parts:
         bound = np.zeros(len(Z))
         for block in p.blocks:
             cols = [i - 1 for i in block]
             bound += np.abs((H[:, cols] * G[:, cols]).sum(axis=1))
-        score = (bound - gval) / np.sqrt(var)
+        score = bound - gval if no_error else (bound - gval) / np.sqrt(var)
         k = int(np.argmax(score))  # first maximum: lowest trial index
         winners.append((H[k], G[k], score[k]))
     return winners
@@ -125,3 +133,111 @@ def test_sweep_empty_list_and_bad_input(klev4, monkeypatch):
     exact = make_state(g, g, np.zeros((4, 4)), np.zeros((4, 4)))
     with pytest.raises(ZeroSigma):
         random_rank_one_search(exact, bipartitions(4), cfg)
+
+
+def _six_mode_state():
+    # Squeezed vacua through a random orthogonal network plus thermal noise,
+    # with an error model proportional to the entries.
+    gen = np.random.default_rng(23)
+    Q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+    r = gen.uniform(0.3, 0.9, 6) * np.resize([1.0, -1.0], 6)
+    gxx = (Q * np.exp(-2 * r) / 2) @ Q.T + 0.02 * np.eye(6)
+    gpp = (Q * np.exp(2 * r) / 2) @ Q.T + 0.02 * np.eye(6)
+    gxx, gpp = (gxx + gxx.T) / 2, (gpp + gpp.T) / 2
+    sig = 0.002 + 0.01 * np.abs(gxx), 0.002 + 0.01 * np.abs(gpp)
+    return make_state(gxx, gpp, *sig)
+
+
+@pytest.mark.parametrize("trials", [17, 64, 3 * BATCH + 17])
+@pytest.mark.parametrize("distribution", ["normal", "uniform"])
+@pytest.mark.parametrize("no_error", [False, True])
+def test_pruned_sweep_matches_oracle_on_six_modes(trials, distribution, no_error):
+    # Fewer trials than the probe, exactly the probe, and a partial last
+    # batch; the finest partition's score is the trial bound up to its slack.
+    state = _six_mode_state()
+    parts = bipartitions(6) + [
+        Partition.singletons(6),
+        parse_partition("12|34|56", 6),
+    ]
+    seed = 77
+    winners = _oracle_winners(state, parts, seed, trials, distribution, no_error)
+    cfg = SearchConfig(trials=trials, seed=seed, distribution=distribution)
+    for threads in (1, 2):
+        reports = random_rank_one_search(
+            state, parts, cfg, threads=threads, no_error=no_error
+        )
+        for r, (h, g, score) in zip(reports, winners):
+            assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
+            assert np.array_equal(r.witness.P, np.outer(g, g)), r.partition.text
+            # Reports are rescored through separability_bound, whose error
+            # scales with G and B_I, not with their difference.
+            got = r.bound - r.G if no_error else r.s
+            tol = 1e-9 * (r.G + r.bound) / (1.0 if no_error else r.sigma)
+            assert got == pytest.approx(score, abs=tol), r.partition.text
+
+
+def test_trial_bound_dominates_every_partition_score():
+    # Products h_i g_i spread over 1e-8..1e8 make the summation order
+    # matter; the stored bound must still be at least each computed score.
+    gen = np.random.default_rng(12)
+    rows, n = 10**5, 12
+    H, G = (
+        gen.choice([-1.0, 1.0], (rows, n)) * 10 ** gen.uniform(-4, 4, (rows, n))
+        for _ in range(2)
+    )
+    parts = [Partition.singletons(n), Partition.trivial(n)]
+    for k in range(2, n):
+        labels = gen.integers(0, k, n)
+        blocks = [np.flatnonzero(labels == b) + 1 for b in set(labels)]
+        parts.append(Partition.of(blocks, n))
+    upper = witness._trial_bound(H, G)
+    total = np.abs(H * G).sum(axis=1)
+    gval = total * gen.uniform(0.0, 2.0, rows)
+    scale = total * gen.uniform(0.1, 10.0, rows)
+    for q in parts:
+        bound = rank_one_bound(H, G, q)
+        assert np.all(upper >= bound), q.text
+        assert np.all((upper - gval) / scale >= (bound - gval) / scale), q.text
+
+
+def test_stacked_rank_one_bound_adds_left_to_right():
+    # Row stacks of any height, single vectors and a plain loop agree bit
+    # for bit, also on blocks of eight or more modes, where numpy's own
+    # sums switch to pairwise order.
+    gen = np.random.default_rng(3)
+    n = 12
+    H, G = gen.standard_normal((2, 40, n)) * 10 ** gen.uniform(-4, 4, (2, 40, n))
+    parts = [
+        Partition.trivial(n),
+        Partition.singletons(n),
+        parse_partition("1,2,3,4,5,6,7,8,9|10,11,12", n),
+    ]
+    for q in parts:
+        for rows in (slice(0, 1), slice(0, 2), slice(None)):
+            got = rank_one_bound(H[rows], G[rows], q)
+            for h, g, value in zip(H[rows], G[rows], got):
+                prod = [float(a * b) for a, b in zip(h, g)]
+                want = sum(abs(sum(prod[i - 1] for i in b)) for b in q.blocks)
+                assert value == want == rank_one_bound(h, g, q), q.text
+
+
+def test_pool_never_outnumbers_cpus_or_batches(klev4, monkeypatch):
+    started = []
+
+    class Pool(witness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(witness, "ThreadPoolExecutor", Pool)
+    if hasattr(witness.os, "sched_getaffinity"):
+        monkeypatch.setattr(witness.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(witness.os, "cpu_count", lambda: 64)
+        assert witness._resolve_threads(None) == 1
+    p = parse_partition("1|234", 4)
+    one = random_rank_one_search(klev4, p, SearchConfig(trials=BATCH), threads=2)
+    assert started == []
+    two = random_rank_one_search(klev4, p, SearchConfig(trials=BATCH + 1), threads=8)
+    assert started == [2]
+    _assert_same(one, random_rank_one_search(klev4, p, SearchConfig(trials=BATCH)))
+    assert two.s >= one.s

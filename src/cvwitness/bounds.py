@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PSD_TOL, NotPSD, quantum_bound, quantum_bound_stack, symmetrize
+from .linalg import PSD_TOL, NotPSD, quantum_bound, symmetrize
 from .partitions import (
     Partition,
     PartitionError,
@@ -84,50 +84,14 @@ def block_indices(p: Partition) -> list[np.ndarray]:
     return [np.array(block, dtype=int) - 1 for block in p.blocks]
 
 
-class BlockPlan:
-    """The blocks of one or more partitions, gathered by block size.
+def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
+    """Partition bound B_p(X, P) = sum over blocks b of B(X_bb, P_bb).
 
-    Each group holds the gather indices that stack every block of one size
-    as a (g, k, k) array, X[rows, cols], plus the partition each block
-    belongs to and its position there. A search builds its plan once.
-    """
-
-    def __init__(self, partitions: Sequence[Partition]):
-        by_size: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-        for j, p in enumerate(partitions):
-            for i, idx in enumerate(block_indices(p)):
-                by_size.setdefault(idx.size, []).append((j, i, idx))
-        self.count = len(partitions)
-        self.width = max((p.k for p in partitions), default=0)
-        self.groups = []
-        for entries in by_size.values():
-            owner, pos, idx = (np.array(column) for column in zip(*entries))
-            self.groups.append((idx[:, :, None], idx[:, None, :], owner, pos))
-
-
-def partition_bound(X: np.ndarray, P: np.ndarray, plan: BlockPlan) -> np.ndarray:
-    """B_I(X, P) = sum over blocks b of B(X_bb, P_bb), the one definition of B_I.
-
-    Proof of the closed form: an I-separable state is a mixture of block
+    Proof of the closed form: a p-separable state is a mixture of block
     products, on which G splits into per-block terms tr(X_bb gxx_bb) +
     tr(P_bb gpp_bb), each at least B(X_bb, P_bb); a product of per-block
-    minimizers attains every term, so no larger bound holds.
-
-    Returns one value per partition of the plan. Each block size takes one
-    stacked kernel call, and the block terms are added in block order, so
-    every value has the bits of a sum of one quantum_bound call per block.
-    """
-    terms = np.zeros((plan.width, plan.count))
-    for rows, cols, owner, pos in plan.groups:
-        terms[pos, owner] = quantum_bound_stack(X[rows, cols], P[rows, cols])
-    values = np.zeros(plan.count)
-    for i in range(plan.width):
-        values += terms[i]
-    return values
-
-
-def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
-    """Partition bound B_p(X, P) in closed form (see partition_bound).
+    minimizers attains every term, so no larger bound holds. The block terms
+    are added in block order, starting from 0.0.
 
     The certificate is the witness with its cross-block entries zeroed: it
     keeps every within-block entry of (X, P) exactly, stays PSD, and its
@@ -135,12 +99,15 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     """
     if w.n != p.n:
         raise ValueError(f"witness is {w.n}-mode but partition is over {p.n}")
+    value = 0.0
+    for idx in block_indices(p):
+        value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
     mask = free_mask(p).mask
     X0 = np.where(mask, 0.0, w.X)
     P0 = np.where(mask, 0.0, w.P)
     X0.flags.writeable = False
     P0.flags.writeable = False
-    return BoundResult(float(partition_bound(w.X, w.P, BlockPlan([p]))[0]), X0, P0)
+    return BoundResult(value, X0, P0)
 
 
 def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float | np.ndarray:

@@ -36,6 +36,7 @@ from .states import (
     GENUINE_X,
     CVState,
     StateFormatError,
+    _declared_n,
     builtin_state,
     is_physical,
     load_state,
@@ -92,10 +93,12 @@ def _load_witness(path: str) -> WitnessPair:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"malformed witness JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StateFormatError("witness document must be a JSON object")
     for field in ("n", "X", "P"):
         if field not in doc:
             raise StateFormatError(f"witness file missing field {field!r}")
-    n = int(doc["n"])
+    n = _declared_n(doc)
     X = np.asarray(doc["X"], dtype=float)
     P = np.asarray(doc["P"], dtype=float)
     for name, M in (("X", X), ("P", P)):

@@ -1,6 +1,5 @@
 """Dense symmetric-matrix primitives: PSD square roots, symplectic spectra,
-the quantumness bound for one pair of matrices or for stacks of equal-size
-pairs, and its analytic gradient.
+the quantumness bound of a pair of matrices, and its analytic gradient.
 
 All matrices are real, symmetric, dense, and small (n <= 32).  Units are the
 dimensionless ones used throughout the package: vacuum variance 1/2.
@@ -70,66 +69,37 @@ def sqrt_psd(A: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
-def _mT(A: np.ndarray) -> np.ndarray:
-    return A.transpose(0, 2, 1)
-
-
-def _pair_stack(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # What symmetrize does for one matrix, for two equal (m, k, k) stacks.
-    X = np.asarray(X, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape != P.shape:
-        raise ValueError(
-            f"expected two (m, k, k) stacks, got {X.shape} and {P.shape}"
-        )
-    if not (np.isfinite(X).all() and np.isfinite(P).all()):
-        raise ValueError("matrix contains non-finite entries")
-    return (X + _mT(X)) / 2.0, (P + _mT(P)) / 2.0
-
-
-def quantum_bound_stack(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """B(X_i, P_i) for each pair of two (m, k, k) stacks, as an (m,) array.
-
-    One eigh and two eigvalsh calls per stack; each matrix gets the same bits
-    as a call on it alone. For k = 1, B = sqrt(sqrt(x) p sqrt(x)) directly,
-    which is bit-identical to the eigen path. Raises NotPSD for the first
-    matrix with an eigenvalue below -PSD_TOL, in X before P.
-    """
-    X, P = _pair_stack(X, P)
-    if X.shape[1] == 1:
-        wX, wP = X[:, :, 0], P[:, :, 0]
-    else:
-        wX, VX = np.linalg.eigh(X)
-        wP = np.linalg.eigvalsh(P)
-    bad = (wX[:, 0] < -PSD_TOL) | (wP[:, 0] < -PSD_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if wX[i, 0] < -PSD_TOL:
-            raise NotPSD(wX[i, 0], "sqrt_psd argument")
-        raise NotPSD(wP[i, 0], "quantum_bound second argument")
-    rX = np.sqrt(np.clip(wX, 0.0, None))
-    if X.shape[1] == 1:
-        return np.sqrt(np.clip(rX * P[:, :, 0] * rX, 0.0, None))[:, 0]
-    sX = (VX * rX[:, None, :]) @ _mT(VX)
-    inner = np.clip(np.linalg.eigvalsh(sX @ P @ sX), 0.0, None)
-    # The square root amplifies eigenvalue rounding noise near zero
-    # (sqrt(1e-15) ~ 3e-8); components 13 orders below the top are noise.
-    inner[inner < 1e-13 * inner[:, -1:]] = 0.0
-    return np.sqrt(inner).sum(axis=1)
-
-
 def quantum_bound(X: np.ndarray, P: np.ndarray) -> float:
     """The quantumness bound B(X, P) = tr sqrt(sqrt(X) P sqrt(X)).
 
     Lower bound on tr(X gxx) + tr(P gpp) over all physical covariance blocks;
-    symmetric in its arguments and defined for all PSD pairs. The one-matrix
-    case of quantum_bound_stack.
+    symmetric in its arguments and defined for all PSD pairs. One eigh of X
+    and one eigvalsh of P; for 1x1 input, B = sqrt(sqrt(x) p sqrt(x))
+    directly, which is bit-identical to the eigen path. Raises NotPSD for an
+    eigenvalue below -PSD_TOL, in X before P.
     """
     X = symmetrize(X)
     P = symmetrize(P)
     if X.shape != P.shape:
         raise ValueError(f"dimension mismatch: {X.shape} vs {P.shape}")
-    return float(quantum_bound_stack(X[None], P[None])[0])
+    if X.shape[0] == 1:
+        wX, wP = X[0], P[0]
+    else:
+        wX, VX = np.linalg.eigh(X)
+        wP = np.linalg.eigvalsh(P)
+    if wX[0] < -PSD_TOL:
+        raise NotPSD(wX[0], "sqrt_psd argument")
+    if wP[0] < -PSD_TOL:
+        raise NotPSD(wP[0], "quantum_bound second argument")
+    rX = np.sqrt(np.clip(wX, 0.0, None))
+    if X.shape[0] == 1:
+        return float(np.sqrt(np.clip(rX * P[0] * rX, 0.0, None))[0])
+    sX = (VX * rX) @ VX.T
+    inner = np.clip(np.linalg.eigvalsh(sX @ P @ sX), 0.0, None)
+    # The square root amplifies eigenvalue rounding noise near zero
+    # (sqrt(1e-15) ~ 3e-8); components 13 orders below the top are noise.
+    inner[inner < 1e-13 * inner[-1]] = 0.0
+    return float(np.sqrt(inner).sum())
 
 
 def _half(A: np.ndarray, B: np.ndarray) -> np.ndarray:

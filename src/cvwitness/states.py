@@ -81,6 +81,14 @@ def make_state(
     return state
 
 
+def _declared_n(doc: dict) -> int:
+    """The document's "n", which must be a JSON integer (not a bool, float or null)."""
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise StateFormatError(f"field 'n' must be an integer, got {n!r}")
+    return n
+
+
 def load_state(source) -> CVState:
     """Load a state from a JSON file path, JSON text, or parsed dict.
 
@@ -102,6 +110,7 @@ def load_state(source) -> CVState:
     for field in ("n", "gamma_xx", "gamma_pp"):
         if field not in doc:
             raise StateFormatError(f"missing required field {field!r}")
+    n = _declared_n(doc)
     state = make_state(
         doc["gamma_xx"],
         doc["gamma_pp"],
@@ -109,9 +118,9 @@ def load_state(source) -> CVState:
         doc.get("sigma_pp"),
         doc.get("label", ""),
     )
-    if state.n != int(doc["n"]):
+    if state.n != n:
         raise StateFormatError(
-            f"declared n={doc['n']} does not match {state.n}x{state.n} blocks"
+            f"declared n={n} does not match {state.n}x{state.n} blocks"
         )
     return state
 

@@ -1,5 +1,5 @@
-"""Stacked block-bound kernel: values, exactness and input checks, and the
-one-matrix gradient.
+"""Per-block bound kernel: quantum_bound values, exactness and input checks,
+the partition bound as a sum of its blocks, and the one-matrix gradient.
 
 The oracles share no code with the kernel: B(X, P) = ||F_X^T F_P||_* for any
 factors X = F_X F_X^T, P = F_P F_P^T (an SVD of a small product), the 1x1
@@ -10,13 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvwitness.bounds import BlockPlan, block_indices, partition_bound
-from cvwitness.linalg import (
-    NotPSD,
-    quantum_bound,
-    quantum_bound_gradient,
-    quantum_bound_stack,
-)
+from cvwitness.bounds import WitnessPair, block_indices, separability_bound
+from cvwitness.linalg import NotPSD, quantum_bound, quantum_bound_gradient
 from cvwitness.partitions import Partition, all_partitions
 
 
@@ -41,17 +36,14 @@ def _stack(gen: np.random.Generator, m: int, k: int, floor: float = 0.0):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_stacked_values_match_nuclear_norm_oracle(n):
-    # One plan holds every partition of n, so each stack mixes blocks of many
-    # partitions. Low-rank factors make some blocks rank-deficient, and the
-    # singleton blocks take the 1x1 path.
+    # Every partition of n. Low-rank factors make some blocks rank-deficient,
+    # and the singleton blocks take the 1x1 path.
     gen = np.random.default_rng(100 + n)
-    parts = all_partitions(n)
-    plan = BlockPlan(parts)
     for rank in range(1, n + 1):
         FX, FP = _factor(gen, n, rank), _factor(gen, n, n + 1 - rank)
-        values = partition_bound(FX @ FX.T, FP @ FP.T, plan)
-        assert values.shape == (len(parts),)
-        for p, got in zip(parts, values):
+        w = WitnessPair(FX @ FX.T, FP @ FP.T)
+        for p in all_partitions(n):
+            got = separability_bound(w, p).value
             assert got == pytest.approx(_oracle(FX, FP, p), rel=1e-8, abs=1e-8), p.text
 
 
@@ -72,29 +64,24 @@ def test_stacked_call_equals_one_block_calls_exactly():
         for floor in (0.0, 0.3):
             X, P = _stack(gen, 9, k, floor)
             X[2] = np.outer(X[2][0], X[2][0])  # a rank-one block
-            values = quantum_bound_stack(X, P)
             # k = 1 takes sqrt(sqrt(x) p sqrt(x)), bit-identical to the eigen path.
             want = [_eigen_path(A, B) for A, B in zip(X, P)]
-            assert [float(v) for v in values] == want
             assert [quantum_bound(A, B) for A, B in zip(X, P)] == want
 
 
 def test_partition_bound_equals_sum_of_block_calls_exactly():
-    # Reported bounds depend on these bits: a plan over many partitions
-    # gives each one the in-order sum of one quantum_bound call per block.
+    # Reported bounds depend on these bits: each partition gets the in-order
+    # sum of one quantum_bound call per block.
     gen = np.random.default_rng(11)
     for n in (3, 4, 5):
-        parts = all_partitions(n)
-        plan = BlockPlan(parts)
         X, P = (M[0] for M in _stack(gen, 1, n, 0.1))
-        values = partition_bound(X, P, plan)
-        for j, p in enumerate(parts):
+        w = WitnessPair(X, P)
+        for p in all_partitions(n):
             want = 0.0
             for idx in block_indices(p):
                 ix = np.ix_(idx, idx)
                 want += quantum_bound(X[ix], P[ix])
-            assert values[j] == want, p.text
-            assert partition_bound(X, P, BlockPlan([p]))[0] == want
+            assert separability_bound(w, p).value == want, p.text
 
 
 def test_one_by_one_gradient_closed_form():
@@ -105,7 +92,7 @@ def test_one_by_one_gradient_closed_form():
         (dX,), (dP,) = quantum_bound_gradient([[a]], [[b]])
         assert dX == pytest.approx(0.5 * np.sqrt(b / a), rel=1e-12)
         assert dP == pytest.approx(0.5 * np.sqrt(a / b), rel=1e-12)
-    assert quantum_bound_stack(x[:, None, None], p[:, None, None]) == pytest.approx(
+    assert [quantum_bound([[a]], [[b]]) for a, b in zip(x, p)] == pytest.approx(
         np.sqrt(x * p), rel=1e-14
     )
     # Commuting diagonal pairs: the gradient is the diagonal of 1x1 forms.
@@ -145,32 +132,18 @@ def test_bad_block_inside_a_stack_still_raises():
     gen = np.random.default_rng(23)
     for k in (1, 2, 3):
         X, P = _stack(gen, 5, k, 0.1)
-        bad = X.copy()
-        bad[3] -= (np.linalg.eigvalsh(bad[3])[-1] + 1.0) * np.eye(k)
-        with pytest.raises(NotPSD) as info:
-            quantum_bound_stack(bad, P)
-        assert info.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(bad[3])[0])
-        with pytest.raises(NotPSD):
-            quantum_bound_stack(X, bad)
-        nan = P.copy()
-        nan[2, 0, 0] = np.nan
+        bad = X[3] - (np.linalg.eigvalsh(X[3])[-1] + 1.0) * np.eye(k)
+        with pytest.raises(NotPSD, match="sqrt_psd argument") as info:
+            quantum_bound(bad, P[3])
+        assert info.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(bad)[0])
+        with pytest.raises(NotPSD, match="quantum_bound second argument"):
+            quantum_bound(X[3], bad)
+        # X is checked before P.
+        with pytest.raises(NotPSD, match="sqrt_psd argument"):
+            quantum_bound(bad, bad)
+        nan = P[2].copy()
+        nan[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            quantum_bound_stack(X, nan)
-    # Through partition_bound: only within-block entries are read.
-    plan = BlockPlan([Partition.of([[1], [2, 3], [4]], 4)])
-    X = np.eye(4)
-    X[1, 1] = -1e-3
-    with pytest.raises(NotPSD):
-        partition_bound(X, np.eye(4), plan)
-    X = np.eye(4)
-    X[2, 1] = X[1, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        partition_bound(X, np.eye(4), plan)
-    X = np.eye(4)
-    X[0, 3] = X[3, 0] = np.nan
-    values = partition_bound(X, np.eye(4), plan)
-    assert values[0] == pytest.approx(4.0)
+            quantum_bound(X[2], nan)
     with pytest.raises(ValueError):
-        quantum_bound_stack(np.eye(2), np.eye(2))
-    with pytest.raises(ValueError):
-        quantum_bound_stack(np.ones((2, 2, 2)), np.ones((3, 2, 2)))
+        quantum_bound(np.ones((2, 2)), np.ones((3, 3)))

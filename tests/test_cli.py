@@ -66,6 +66,35 @@ def test_bound_input_errors(capsys, tmp_path):
     assert "missing field" in err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("5", "JSON object"),
+        ('[{"n": 1, "X": [[1]], "P": [[1]]}]', "JSON object"),
+        ('{"n": null, "X": [[1]], "P": [[1]]}', "'n'"),
+        ('{"n": true, "X": [[1]], "P": [[1]]}', "'n'"),
+        ('{"n": 1.0, "X": [[1]], "P": [[1]]}', "'n'"),
+        ('{"n": [1], "X": [[1]], "P": [[1]]}', "'n'"),
+    ],
+)
+def test_bound_rejects_malformed_witness_document(capsys, tmp_path, text, named):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "bound", "--witness", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("n", [[2], None, True, 2.0, "2"])
+def test_check_rejects_non_integer_n(capsys, tmp_path, n):
+    path = tmp_path / "s.json"
+    eye = np.eye(2).tolist()
+    path.write_text(json.dumps({"n": n, "gamma_xx": eye, "gamma_pp": eye}))
+    code, out, err = run(capsys, "check", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'n'" in err
+
+
 def test_bound_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bound"])

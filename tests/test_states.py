@@ -87,6 +87,15 @@ def test_load_state_errors():
         load_state('{"n": "x"}')
 
 
+@pytest.mark.parametrize("n", [None, True, False, 2.0, [2], "2"])
+def test_load_state_requires_integer_n(n):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    doc = {"n": n, "gamma_xx": eye, "gamma_pp": eye}
+    for source in (doc, json.dumps(doc)):
+        with pytest.raises(StateFormatError, match="'n' must be an integer"):
+            load_state(source)
+
+
 def test_save_load_round_trip(tmp_path, klev4):
     path = tmp_path / "klev4.json"
     save_state(klev4, path)

@@ -75,10 +75,6 @@ def evaluate_G(w: WitnessPair, s: CVState) -> float:
     return float(np.sum(w.X * s.gamma_xx) + np.sum(w.P * s.gamma_pp))
 
 
-def _min_eig(A: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(A)[0])
-
-
 def block_indices(p: Partition) -> list[np.ndarray]:
     """0-based index arrays of the blocks of p."""
     return [np.array(block, dtype=int) - 1 for block in p.blocks]
@@ -152,7 +148,7 @@ def lmi_separability_test(
                 eps[i - 1] = sign
         M[:n, n:] = np.diag(eps / 2.0)
         M[n:, :n] = M[:n, n:]
-        low = _min_eig(M)
+        low = float(np.linalg.eigvalsh(M)[0])
         if low < lowest:
             lowest = low
             worst = tuple(int(e) for e in eps)

@@ -4,7 +4,7 @@ lattice relation, and the freed-entry masks used by the separability bounds.
 Modes are labeled 1..n.  A partition is stored canonically: indices ascending
 within each block, blocks ordered by their smallest element.  The textual
 form follows the compact convention "2|134" for n <= 9 and comma-separated
-labels ("1,10|2,3") once labels exceed one digit.
+labels ("1,10|2,3") for n > 9, where a group without a comma is one label.
 """
 from __future__ import annotations
 
@@ -64,9 +64,8 @@ class Partition:
     def text(self) -> str:
         """Compact form, smaller blocks first: "2|134", "1,10|2,3,4"."""
         shown = sorted(self.blocks, key=lambda b: (len(b), b))
-        if self.n <= 9:
-            return "|".join("".join(str(i) for i in b) for b in shown)
-        return "|".join(",".join(str(i) for i in b) for b in shown)
+        sep = "" if self.n <= 9 else ","
+        return "|".join(sep.join(str(i) for i in b) for b in shown)
 
     def block_of(self, i: int) -> int:
         """Index of the block containing mode i."""
@@ -84,14 +83,8 @@ def _parse_group(group: str, n: int) -> list[int]:
         raise PartitionError("empty group between '|' separators")
     if "," in group:
         labels = [lab.strip() for lab in group.split(",")]
-    elif n <= 9:
-        labels = list(group)
-    else:
-        # Bare digit runs are kept for n >= 10 when every digit is a valid
-        # label on its own ("23456789"); otherwise the run is one label ("10").
-        labels = list(group)
-        if not all(lab.isdigit() and 1 <= int(lab) <= n for lab in labels):
-            labels = [group]
+    else:  # a group without a comma is one label per digit, or one label above n = 9
+        labels = list(group) if n <= 9 else [group]
     out = []
     for lab in labels:
         if not lab.isdigit():

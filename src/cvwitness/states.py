@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import symplectic_spectrum
+from .linalg import NotPSD, symplectic_spectrum
 
 # A state is physical when its symplectic spectrum stays above the vacuum
 # value 1/2; printed 5-decimal data may sit slightly below, hence the slack.
@@ -150,13 +150,18 @@ def is_physical(state: CVState) -> tuple[bool, float]:
     """Physicality test: every symplectic eigenvalue of diag(gxx, gpp) >= 1/2.
 
     Returns (verdict, minimum symplectic eigenvalue) so marginal states can be
-    reported with their margin instead of failing hard.
+    reported with their margin instead of failing hard. A block that is not
+    PSD gives (False, 0.0): 0 is the limit of the minimum as a block loses
+    definiteness.
     """
     n = state.n
     gamma = np.zeros((2 * n, 2 * n))
     gamma[:n, :n] = state.gamma_xx
     gamma[n:, n:] = state.gamma_pp
-    smallest = float(symplectic_spectrum(gamma)[-1])
+    try:
+        smallest = float(symplectic_spectrum(gamma)[-1])
+    except NotPSD:
+        return False, 0.0
     return smallest >= 0.5 - PHYSICALITY_TOL, smallest
 
 

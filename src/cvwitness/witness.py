@@ -309,9 +309,10 @@ def _lift(
         sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
         eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
     else:
-        eps = 0.5 * C / float(gam @ diag)  # G = C/2
-    if not eps > 0:
-        raise ValueError(_NONPOSITIVE_G)
+        trace = float(gam @ diag)  # tr gxx + tr gpp
+        if not trace > 0:
+            raise ValueError(_NONPOSITIVE_G)
+        eps = 0.5 * C / trace  # G = C/2
     gain, y0, group, blocks, spans = [], [], [], [], []
 
     def var(count, label, init=0.0, b=0.0):

@@ -153,6 +153,23 @@ def test_check_unphysical_state_is_inconclusive(capsys):
     assert "inconclusive" in out
 
 
+def test_indefinite_blocks_are_inconclusive(capsys, tmp_path):
+    # gxx = gpp = diag(-1, 1): the moduli of eig(J gamma) all read 1, but a
+    # negative variance makes the state unphysical.
+    flip = np.diag([-1.0, 1.0])
+    path = tmp_path / "flipped.json"
+    save_state(make_state(flip, flip), path)
+    code, out, _ = run(capsys, "check", "--state", str(path))
+    assert code == 0
+    assert "NOT physical (min symplectic eigenvalue 0.000000" in out
+    assert "inconclusive" in out and "entanglement certified" not in out
+    code, out, _ = run(
+        capsys, "search", "--state", str(path), "--partition", "1|2", "--no-error"
+    )
+    assert code == 0
+    assert "not physical" in out and "inconclusive" in out
+
+
 def test_search_requires_error_model(capsys):
     code, _, err = run(capsys, "search", "--state", "ppt4", "--partition", "12|34")
     assert code == 2

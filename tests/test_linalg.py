@@ -165,6 +165,37 @@ def test_symplectic_spectrum_thermal():
     assert np.allclose(np.sort(symplectic_spectrum(gamma)), np.sort(nu))
 
 
+def test_symplectic_spectrum_williamson_oracle():
+    # gamma = S diag(nu, nu) S^T with the symplectic S = diag(M, M^-T) has
+    # symplectic spectrum nu by construction, and B(gxx, gpp) = sum(nu).
+    gen = np.random.default_rng(53)
+    for n in range(1, 7):
+        M = gen.standard_normal((n, n)) + 2 * np.eye(n)
+        Minv = np.linalg.inv(M)
+        nu = gen.uniform(0.5, 3.0, n)
+        gamma = np.zeros((2 * n, 2 * n))
+        gamma[:n, :n] = M @ np.diag(nu) @ M.T
+        gamma[n:, n:] = Minv.T @ np.diag(nu) @ Minv
+        got = symplectic_spectrum(gamma)
+        assert np.allclose(got, np.sort(nu)[::-1], rtol=1e-9, atol=0.0)
+        assert quantum_bound(gamma[:n, :n], gamma[n:, n:]) == pytest.approx(
+            nu.sum(), rel=1e-9
+        )
+
+
+def test_symplectic_spectrum_rejects_xp_and_indefinite_blocks():
+    gamma = np.eye(4) / 2
+    gamma[0, 3] = gamma[3, 0] = 0.1
+    with pytest.raises(ValueError, match="x-p"):
+        symplectic_spectrum(gamma)
+    # The moduli of the eigenvalues of J gamma read 1 here, as if physical.
+    flipped = np.diag([-1.0, 1.0, -1.0, 1.0])
+    with pytest.raises(NotPSD, match="sqrt_psd argument"):
+        symplectic_spectrum(flipped)
+    with pytest.raises(NotPSD, match="quantum_bound second argument"):
+        symplectic_spectrum(np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
 def test_alt_gap_nonnegative():
     gen = np.random.default_rng(41)
     for _ in range(200):

@@ -44,6 +44,13 @@ def test_multidigit_modes_need_commas():
     assert sorted(sum(p.blocks, ())) == list(range(1, 11))
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_text_parses_back_above_nine_modes(n):
+    # "12|1,2,...,11" must read 12 as one label, not as modes 1 and 2.
+    for p in bipartitions(n):
+        assert parse_partition(p.text, n) == p
+
+
 def test_partition_of_validates():
     with pytest.raises(PartitionError):
         Partition.of([[1, 2], [2, 3]], 3)

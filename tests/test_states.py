@@ -114,6 +114,14 @@ def test_is_physical_vacuum_and_thermal():
     assert ok and low == pytest.approx(1.4)
 
 
+def test_is_physical_rejects_indefinite_blocks():
+    # J gamma has eigenvalues +/- i for this gamma, so symplectic moduli alone
+    # read 1; but a negative variance is unphysical whatever the spectrum.
+    flip = np.diag([-1.0, 1.0])
+    assert is_physical(make_state(flip, flip)) == (False, 0.0)
+    assert is_physical(make_state(np.eye(2), flip)) == (False, 0.0)
+
+
 def test_is_physical_squeezed_and_below_vacuum():
     r = 0.9
     s = make_state(

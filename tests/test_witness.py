@@ -181,6 +181,14 @@ def test_optimize_witness_margin_mode(ppt4):
         optimize_witness(ppt4, parse_partition("12|34", 4), SearchConfig(), no_error=True)
 
 
+def test_optimize_witness_margin_mode_zero_trace_state():
+    zero = make_state(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="nonpositive G"):
+        optimize_witness(
+            zero, parse_partition("1|2", 2), SearchConfig(s_level=0), no_error=True
+        )
+
+
 def test_optimize_witness_needs_model_for_positive_level(ppt4):
     with pytest.raises(MissingErrorModel):
         optimize_witness(ppt4, parse_partition("12|34", 4), SearchConfig(s_level=6.0))

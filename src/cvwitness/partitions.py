@@ -87,7 +87,7 @@ def _parse_group(group: str, n: int) -> list[int]:
         labels = list(group) if n <= 9 else [group]
     out = []
     for lab in labels:
-        if not lab.isdigit():
+        if not lab.isdecimal():
             raise PartitionError(f"invalid mode label {lab!r}")
         out.append(int(lab))
     return out

@@ -35,6 +35,7 @@ from .states import CVState
 
 _BATCH = 65536
 _PROBE = 64  # top trials per batch that set its pruning threshold
+_TILE = 4096  # trials per transposed tile of G, sigma and the trial bound
 
 
 class MissingErrorModel(ValueError):
@@ -166,12 +167,13 @@ def _batch_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _quad(V: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Row-wise quadratic forms v_t^T A v_t.
+    """Column-wise quadratic forms v_t^T A v_t of V laid out (n, t).
 
-    Two two-operand einsums: unlike a matmul, they start no BLAS threads,
-    which would pile onto the search's own thread pool.
+    Two two-operand einsums whose inner loops run along the t trials of
+    contiguous rows; unlike a matmul, they start no BLAS threads, which
+    would pile onto the search's own thread pool.
     """
-    return np.einsum("tj,tj->t", np.einsum("ti,ij->tj", V, A), V)
+    return np.einsum("it,it->t", np.einsum("ij,jt->it", A, V), V)
 
 
 def _trial_bound(H: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -196,6 +198,9 @@ def random_rank_one_search(
     (seed, batch), and each batch computes its draws, G and sigma once; only
     the closed-form rank-one bound (block sums of h*g) is partition-specific.
     The results therefore equal those of separate calls, one per partition.
+    G, sigma and _trial_bound are computed on _TILE-trial tiles, each copied
+    transposed into a contiguous (2n, tile) array, so per batch a worker
+    holds the (65536, 2n) draw plus a few 65536-long vectors.
     The merge takes, per partition, the maximal score with the lowest global
     trial index on ties, so the result is identical for any thread count.
     Each winner is rescored through separability_bound. With no_error=True
@@ -237,11 +242,16 @@ def random_rank_one_search(
         else:
             Z = gen.uniform(-1.0, 1.0, (size, 2 * n))
         H, G_ = Z[:, :n], Z[:, n:]
-        gval = _quad(H, gxx) + _quad(G_, gpp)
+        gval, var, bound = np.empty((3, size))
+        for lo in range(0, size, _TILE):
+            T = Z[lo : lo + _TILE].T.copy()  # (2n, tile), contiguous
+            HT, GT, tile = T[:n], T[n:], slice(lo, lo + T.shape[1])
+            gval[tile] = _quad(HT, gxx) + _quad(GT, gpp)
+            bound[tile] = _trial_bound(HT.T, GT.T)
+            if not no_error:
+                np.square(T, out=T)
+                var[tile] = _quad(HT, sxx2) + _quad(GT, spp2)
         if not no_error:
-            H2, G2 = H**2, G_**2
-            var = _quad(H2, sxx2) + _quad(G2, spp2)
-            del H2, G2
             ok = var > 0
             scale = np.sqrt(np.where(ok, var, 1.0))
 
@@ -252,7 +262,7 @@ def random_rank_one_search(
         def rank_one(q, rows):
             return score(rank_one_bound(H[rows], G_[rows], q), rows)
 
-        upper = score(_trial_bound(H, G_), slice(None))
+        upper = score(bound, slice(None))
         probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
         theta = min(rank_one(q, probe).max() for q in parts)
         cand = np.flatnonzero(upper >= theta)

@@ -103,6 +103,14 @@ def test_bound_usage_errors(capsys):
     assert code == 2
 
 
+def test_superscript_digit_label_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "bound", "--symmetric-witness", "2", "--partition", "1|\u00b2"
+    )
+    assert code == 2 and out == ""
+    assert "invalid mode label '\u00b2'" in err
+
+
 def test_removed_ascent_flags_are_usage_errors(capsys):
     for flag in ("--max-iter", "--grad-tol", "--step"):
         with pytest.raises(SystemExit) as info:

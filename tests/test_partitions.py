@@ -37,6 +37,13 @@ def test_parse_rejects_bad_input():
             parse_partition(text, 4)
 
 
+@pytest.mark.parametrize("text, n", [("1|\u00b2", 2), ("\u00b2,1|3", 3)])
+def test_superscript_digit_is_not_a_mode_label(text, n):
+    # "\u00b2" passes str.isdigit() but int() rejects it.
+    with pytest.raises(PartitionError, match="invalid mode label '\u00b2'"):
+        parse_partition(text, n)
+
+
 def test_multidigit_modes_need_commas():
     p = parse_partition("1,10|2,3,4,5,6,7,8,9", 10)
     assert p.blocks[0] == (2, 3, 4, 5, 6, 7, 8, 9) or p.blocks[0] == (1, 10)

@@ -8,6 +8,8 @@ bound cannot rule out, so agreement with the oracle checks the pruning.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,17 +137,21 @@ def test_sweep_empty_list_and_bad_input(klev4, monkeypatch):
         random_rank_one_search(exact, bipartitions(4), cfg)
 
 
-def _six_mode_state():
+def _network_state(n: int, seed: int):
     # Squeezed vacua through a random orthogonal network plus thermal noise,
     # with an error model proportional to the entries.
-    gen = np.random.default_rng(23)
-    Q, _ = np.linalg.qr(gen.standard_normal((6, 6)))
-    r = gen.uniform(0.3, 0.9, 6) * np.resize([1.0, -1.0], 6)
-    gxx = (Q * np.exp(-2 * r) / 2) @ Q.T + 0.02 * np.eye(6)
-    gpp = (Q * np.exp(2 * r) / 2) @ Q.T + 0.02 * np.eye(6)
+    gen = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    r = gen.uniform(0.3, 0.9, n) * np.resize([1.0, -1.0], n)
+    gxx = (Q * np.exp(-2 * r) / 2) @ Q.T + 0.02 * np.eye(n)
+    gpp = (Q * np.exp(2 * r) / 2) @ Q.T + 0.02 * np.eye(n)
     gxx, gpp = (gxx + gxx.T) / 2, (gpp + gpp.T) / 2
     sig = 0.002 + 0.01 * np.abs(gxx), 0.002 + 0.01 * np.abs(gpp)
     return make_state(gxx, gpp, *sig)
+
+
+def _six_mode_state():
+    return _network_state(6, 23)
 
 
 @pytest.mark.parametrize("trials", [17, 64, 3 * BATCH + 17])
@@ -174,6 +180,73 @@ def test_pruned_sweep_matches_oracle_on_six_modes(trials, distribution, no_error
             got = r.bound - r.G if no_error else r.s
             tol = 1e-9 * (r.G + r.bound) / (1.0 if no_error else r.sigma)
             assert got == pytest.approx(score, abs=tol), r.partition.text
+
+
+def _tile_edge_case(request, name: str):
+    if name == "klev4":
+        return request.getfixturevalue("klev4"), _parts()
+    if name == "one-mode":
+        one = make_state(*(np.array([[v]]) for v in (0.3, 1.2, 0.01, 0.02)))
+        return one, [Partition.trivial(1)]
+    cuts = [
+        "1,2,3,4,5,6|7,8,9,10,11,12",
+        "1,3,5,7,9,11|2,4,6,8,10,12",
+        "1,2|3,4,5|6,7,8,9,10,11,12",
+    ]
+    parts = [Partition.singletons(12), Partition.trivial(12)]
+    return _network_state(12, 31), parts + [parse_partition(t, 12) for t in cuts]
+
+
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, BATCH + 4097])
+@pytest.mark.parametrize("name", ["one-mode", "klev4", "twelve"])
+@pytest.mark.parametrize("distribution", ["normal", "uniform"])
+@pytest.mark.parametrize("no_error", [False, True])
+def test_winners_match_oracle_at_tile_edges(
+    request, trials, name, distribution, no_error
+):
+    # One trial, one short of a 4096-trial tile, one tile exactly, one past
+    # it, and a second batch that ends one past a tile.
+    state, parts = _tile_edge_case(request, name)
+    seed = 1009
+    winners = _oracle_winners(state, parts, seed, trials, distribution, no_error)
+    cfg = SearchConfig(trials=trials, seed=seed, distribution=distribution)
+    for threads in (1, 2):
+        reports = random_rank_one_search(
+            state, parts, cfg, threads=threads, no_error=no_error
+        )
+        for r, (h, g, _) in zip(reports, winners):
+            assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
+            assert np.array_equal(r.witness.P, np.outer(g, g)), r.partition.text
+
+
+def test_batch_memory_stays_near_one_draw(klev4):
+    # One 65536-trial batch draws 65536 x 2n doubles; the rest of the batch
+    # (G, sigma, bounds and the scored candidates) must stay well below that.
+    draw = BATCH * 8 * 8
+    cfg = SearchConfig(trials=BATCH, seed=13)
+    tracemalloc.start()
+    try:
+        random_rank_one_search(klev4, bipartitions(4), cfg, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * draw, peak / draw
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_quad_matches_plain_double_loop(n):
+    gen = np.random.default_rng(100 + n)
+    M = gen.standard_normal((n, n))
+    A = M @ M.T + np.eye(n)
+    V = gen.standard_normal((n, 37))
+    got = witness._quad(V, A)
+    assert got.shape == (37,)
+    for t in range(V.shape[1]):
+        want = 0.0
+        for i in range(n):
+            for j in range(n):
+                want += A[i, j] * V[i, t] * V[j, t]
+        assert got[t] == pytest.approx(want, rel=1e-12), (n, t)
 
 
 def test_trial_bound_dominates_every_partition_score():

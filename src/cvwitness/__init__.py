@@ -31,7 +31,6 @@ from .linalg import (
     symplectic_spectrum,
 )
 from .partitions import (
-    FreeMask,
     Partition,
     PartitionError,
     all_partitions,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundResult",
     "CVState",
-    "FreeMask",
     "MissingErrorModel",
     "NotPSD",
     "Partition",

@@ -75,9 +75,9 @@ def evaluate_G(w: WitnessPair, s: CVState) -> float:
     return float(np.sum(w.X * s.gamma_xx) + np.sum(w.P * s.gamma_pp))
 
 
-def block_indices(p: Partition) -> list[np.ndarray]:
-    """0-based index arrays of the blocks of p."""
-    return [np.array(block, dtype=int) - 1 for block in p.blocks]
+def block_indices(p: Partition) -> tuple[np.ndarray, ...]:
+    """Read-only 0-based index arrays of the blocks of p, cached on p."""
+    return p._indices
 
 
 def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
@@ -98,7 +98,7 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     value = 0.0
     for idx in block_indices(p):
         value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
-    mask = free_mask(p).mask
+    mask = free_mask(p)
     X0 = np.where(mask, 0.0, w.X)
     P0 = np.where(mask, 0.0, w.P)
     X0.flags.writeable = False
@@ -135,23 +135,15 @@ def lmi_separability_test(
         raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
     if p.k > 12:
         raise PartitionError(f"the LMI test needs at most 12 blocks, got {p.k}")
-    n = s.n
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = s.gamma_xx
-    M[n:, n:] = s.gamma_pp
     lowest = np.inf
-    worst: tuple[int, ...] = (1,) * n
+    worst: tuple[int, ...] = (1,) * s.n
     for tail in product((1, -1), repeat=p.k - 1):
-        eps = np.empty(n)
-        for block, sign in zip(p.blocks, (1,) + tail):
-            for i in block:
-                eps[i - 1] = sign
-        M[:n, n:] = np.diag(eps / 2.0)
-        M[n:, :n] = M[:n, n:]
-        low = float(np.linalg.eigvalsh(M)[0])
+        eps = np.array((1,) + tail)[p.labels]
+        E = np.diag(eps / 2.0)
+        low = float(np.linalg.eigvalsh(np.block([[s.gamma_xx, E], [E, s.gamma_pp]]))[0])
         if low < lowest:
             lowest = low
-            worst = tuple(int(e) for e in eps)
+            worst = tuple(eps.tolist())
     return lowest < -PSD_TOL, float(lowest), worst
 
 

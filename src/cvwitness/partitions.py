@@ -1,5 +1,5 @@
 """Set partitions of mode indices: parsing, enumeration, the finer-than
-lattice relation, and the freed-entry masks used by the separability bounds.
+lattice relation, and each partition's block labels and cross-block mask.
 
 Modes are labeled 1..n.  A partition is stored canonically: indices ascending
 within each block, blocks ordered by their smallest element.  The textual
@@ -9,13 +9,26 @@ labels ("1,10|2,3") for n > 9, where a group without a comma is one label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
+_DIGIT_RUNS = 9  # up to nine modes a label is one digit; a block is a digit run
+
 
 class PartitionError(ValueError):
     """Raised for malformed partition text or invalid block structure."""
+
+
+def _block_text(block, n: int) -> str:
+    """One block's labels: "134" for n <= 9, "1,10" above."""
+    return ("" if n <= _DIGIT_RUNS else ",").join(str(i) for i in block)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -64,15 +77,24 @@ class Partition:
     def text(self) -> str:
         """Compact form, smaller blocks first: "2|134", "1,10|2,3,4"."""
         shown = sorted(self.blocks, key=lambda b: (len(b), b))
-        sep = "" if self.n <= 9 else ","
-        return "|".join(sep.join(str(i) for i in b) for b in shown)
+        return "|".join(_block_text(b, self.n) for b in shown)
+
+    @cached_property
+    def _indices(self) -> tuple[np.ndarray, ...]:
+        """Read-only 0-based index array of each block, in block order."""
+        return tuple(_frozen(np.array(b, dtype=int) - 1) for b in self.blocks)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only, computed once: labels[i - 1] is the 0-based block of mode i."""
+        owner = {i: k for k, block in enumerate(self.blocks) for i in block}
+        return _frozen(np.array([owner[i] for i in range(1, self.n + 1)]))
 
     def block_of(self, i: int) -> int:
         """Index of the block containing mode i."""
-        for k, block in enumerate(self.blocks):
-            if i in block:
-                return k
-        raise PartitionError(f"index {i} out of range 1..{self.n}")
+        if not 1 <= i <= self.n:
+            raise PartitionError(f"index {i} out of range 1..{self.n}")
+        return int(self.labels[i - 1])
 
     def __str__(self) -> str:
         return self.text
@@ -84,7 +106,7 @@ def _parse_group(group: str, n: int) -> list[int]:
     if "," in group:
         labels = [lab.strip() for lab in group.split(",")]
     else:  # a group without a comma is one label per digit, or one label above n = 9
-        labels = list(group) if n <= 9 else [group]
+        labels = list(group) if n <= _DIGIT_RUNS else [group]
     out = []
     for lab in labels:
         if not lab.isdecimal():
@@ -169,37 +191,10 @@ def is_finer(a: Partition, b: Partition) -> bool:
     """True iff every block of a is contained in some block of b."""
     if a.n != b.n:
         raise PartitionError(f"mode counts differ: {a.n} vs {b.n}")
-    owner = {}
-    for k, block in enumerate(b.blocks):
-        for i in block:
-            owner[i] = k
-    return all(len({owner[i] for i in block}) == 1 for block in a.blocks)
+    # a's blocks each lie in one block of b iff a's label fixes b's label
+    return len(set(zip(a.labels.tolist(), b.labels.tolist()))) == a.k
 
 
-@dataclass(frozen=True)
-class FreeMask:
-    """Boolean mask of witness entries freed by a partition.
-
-    mask[i][j] (0-based) is True exactly when modes i+1 and j+1 lie in
-    different blocks; the diagonal is always False.
-    """
-
-    n: int
-    mask: np.ndarray
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        """Free (i, j) index pairs with i < j, 0-based."""
-        i, j = np.nonzero(np.triu(self.mask))
-        return list(zip(i.tolist(), j.tolist()))
-
-
-def free_mask(p: Partition) -> FreeMask:
-    """Cross-block entry mask for a partition."""
-    labels = np.empty(p.n, dtype=int)
-    for k, block in enumerate(p.blocks):
-        for i in block:
-            labels[i - 1] = k
-    mask = labels[:, None] != labels[None, :]
-    mask.flags.writeable = False
-    return FreeMask(p.n, mask)
+def free_mask(p: Partition) -> np.ndarray:
+    """Read-only (n, n) mask: True where modes i+1 and j+1 lie in different blocks."""
+    return _frozen(p.labels[:, None] != p.labels[None, :])

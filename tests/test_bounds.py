@@ -101,7 +101,7 @@ def test_certificate_reproduces_value_and_preserves_entries():
         res = separability_bound(w, p)
         again = quantum_bound(res.certificate_X, res.certificate_P)
         assert abs(again - res.value) < 1e-8
-        keep = ~free_mask(p).mask
+        keep = ~free_mask(p)
         assert np.array_equal(res.certificate_X[keep], w.X[keep])
         assert np.array_equal(res.certificate_P[keep], w.P[keep])
         for M in (res.certificate_X, res.certificate_P):
@@ -228,7 +228,7 @@ def _random_fill(gen: np.random.Generator, A: np.ndarray, p: Partition) -> np.nd
         idx = [i - 1 for i in block]
         Q, _ = np.linalg.qr(gen.standard_normal((n, n)))
         G[idx] = F[idx] @ Q
-    mask = free_mask(p).mask
+    mask = free_mask(p)
     t = gen.uniform()
     return np.where(mask, t * (G @ G.T), A)
 

@@ -28,8 +28,14 @@ from .bounds import (
     symmetric_witness,
     table1_bounds,
 )
-from .linalg import alt_inequality_gap, quantum_bound
-from .partitions import Partition, PartitionError, bipartitions, parse_partition
+from .linalg import PSD_TOL, alt_inequality_gap, quantum_bound
+from .partitions import (
+    Partition,
+    PartitionError,
+    _block_text,
+    bipartitions,
+    parse_partition,
+)
 from .states import (
     BUILTIN_STATES,
     GENUINE_P,
@@ -197,22 +203,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"{'physical' if physical else 'NOT physical'} "
         f"(min symplectic eigenvalue {smallest:.6f}, needs >= 0.5)"
     )
+    # The all-plus sign pattern is the physicality condition at PSD_TOL, tighter
+    # than is_physical's slack: on a physical state an LMI result counts as a
+    # detection only where it goes below that pattern's eigenvalue.
+    floor = min(lmi_separability_test(state, Partition.trivial(n))[1], 0.0) - PSD_TOL
     certified = False
     results = []
     for p in parts:
         violated, min_eig, pattern = lmi_separability_test(state, p)
+        counted = min_eig < floor
         verdicts = []
-        if p.k == 1:
-            pt_blocks = []
-        elif p.k == 2:
-            # complementary flips share a spectrum; test one side
-            pt_blocks = p.blocks[:1]
-        else:
-            pt_blocks = p.blocks
+        # complementary flips share a spectrum: a bipartition tests one side
+        pt_blocks = () if p.k == 1 else p.blocks[:1] if p.k == 2 else p.blocks
         for block in pt_blocks:
             pt = partial_transpose(state, block)
             pt_ok, pt_min = is_physical(pt)
-            verdicts.append((f"PT {''.join(map(str, block)) if n <= 9 else block}", pt_ok, pt_min))
+            verdicts.append((f"PT {_block_text(block, n)}", pt_ok, pt_min))
         row = {
             "partition": p.text,
             "lmi_violated": violated,
@@ -228,11 +234,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"partition {p.text}:")
         for name, ok, val in verdicts:
             print(f"  {name}: {'physical' if ok else 'unphysical'} (min {val:.6f})")
+        slack = physical and violated and not counted
         print(
             f"  LMI: {'VIOLATED' if violated else 'satisfied'} "
             f"(min eigenvalue {min_eig:.6f}, worst pattern {pattern})"
+            f"{' within the physicality tolerance' if slack else ''}"
         )
-        if physical and (violated or any(pt_flags)):
+        if physical and (counted or any(pt_flags)):
             certified = True
     if not physical:
         print(_UNPHYSICAL)

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvwitness
 from cvwitness.cli import main
 from cvwitness.states import make_state, save_state
 
@@ -176,6 +181,59 @@ def test_indefinite_blocks_are_inconclusive(capsys, tmp_path):
     )
     assert code == 0
     assert "not physical" in out and "inconclusive" in out
+
+
+@pytest.mark.parametrize("delta", [5e-10, 9e-10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_check_boundary_product_states_detect_nothing(capsys, tmp_path, n, delta):
+    # Product states just inside is_physical's slack: the all-plus sign
+    # pattern, itself the physicality condition, dips below -PSD_TOL but no
+    # pattern goes lower, so nothing is entanglement.
+    r = np.linspace(-0.4, 0.4, n)
+    squeezed = (np.diag(np.exp(2 * r)), np.diag(np.exp(-2 * r)))
+    for gxx, gpp in ((np.eye(n), np.eye(n)), squeezed):
+        path = tmp_path / "edge.json"
+        save_state(make_state((0.5 - delta) * gxx, (0.5 - delta) * gpp), path)
+        dest = tmp_path / "edge-check.json"
+        code, out, _ = run(capsys, "check", "--state", str(path), "--json", str(dest))
+        assert code == 0
+        assert "nothing detected" in out and "entanglement certified" not in out
+        doc = json.loads(dest.read_text())
+        assert doc["physical"] is True
+        assert all(row["lmi_min_eigenvalue"] < -1e-10 for row in doc["partitions"])
+
+
+@pytest.mark.parametrize("name, want", [("ppt4", 1), ("klev4", 0), ("vacuum4", 0)])
+def test_check_builtin_verdicts_follow_their_rows(capsys, tmp_path, name, want):
+    # Away from the boundary a physical state is certified exactly when some
+    # row reports an LMI violation or an unphysical partial transpose.
+    dest = tmp_path / "check.json"
+    code, out, _ = run(capsys, "check", "--state", name, "--json", str(dest))
+    doc = json.loads(dest.read_text())
+    flagged = any(
+        row["lmi_violated"] or not all(t["physical"] for t in row["partial_transposes"])
+        for row in doc["partitions"]
+    )
+    assert code == want == int(doc["physical"] and flagged)
+    assert "within the physicality tolerance" not in out
+
+
+def test_check_ten_modes_labels_partial_transposes_like_partitions(capsys, tmp_path):
+    # gamma >= I/2 in both quadratures: a classical, separable state.
+    gamma = 0.6 * np.eye(10)
+    gamma[0, 1] = gamma[1, 0] = 0.05
+    path = tmp_path / "ten.json"
+    save_state(make_state(gamma, gamma), path)
+    dest = tmp_path / "ten-check.json"
+    code, out, _ = run(
+        capsys, "check", "--state", str(path), "--partition", "1,2,3|4,5,6,7,8,9,10",
+        "--json", str(dest),
+    )
+    assert code == 0
+    assert "partition 1,2,3|4,5,6,7,8,9,10:" in out
+    assert "PT 1,2,3:" in out and "(1, 2, 3)" not in out
+    doc = json.loads(dest.read_text())
+    assert doc["partitions"][0]["partial_transposes"][0]["modes"] == "PT 1,2,3"
 
 
 def test_search_requires_error_model(capsys):
@@ -427,6 +485,19 @@ def test_reproduce_targets(capsys):
         code, out, _ = run(capsys, "reproduce", target)
         assert code == 0, target
         assert "all values reproduced" in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # The package as imported here, whether from a checkout or installed.
+    root = Path(cvwitness.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "cvwitness", "reproduce", "table1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "all values reproduced" in done.stdout
 
 
 def test_reproduce_json_payload(capsys, tmp_path):

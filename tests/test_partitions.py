@@ -1,9 +1,10 @@
-"""Mode partitions: parsing, enumeration, refinement, freed-entry masks."""
+"""Mode partitions: parsing, enumeration, refinement, block labels and masks."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from cvwitness.bounds import block_indices
 from cvwitness.partitions import (
     Partition,
     PartitionError,
@@ -70,6 +71,27 @@ def test_partition_of_validates():
 def test_block_of():
     p = parse_partition("13|24", 4)
     assert [p.block_of(i) for i in (1, 2, 3, 4)] == [0, 1, 0, 1]
+
+
+def test_labels_match_block_membership():
+    for n in range(1, 8):
+        for p in all_partitions(n):
+            want = []
+            for i in range(1, n + 1):
+                for k, block in enumerate(p.blocks):
+                    if i in block:
+                        want.append(k)
+            assert p.labels.tolist() == want
+            assert p.labels is p.labels  # computed once per partition object
+
+
+def test_cached_block_arrays_are_read_only():
+    p = parse_partition("13|24", 4)
+    for array in (p.labels, free_mask(p), block_indices(p)[0]):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert p.labels.tolist() == [0, 1, 0, 1]
+    assert [idx.tolist() for idx in block_indices(p)] == [[0, 2], [1, 3]]
 
 
 def test_all_partitions_bell_numbers():

@@ -135,12 +135,16 @@ def lmi_separability_test(
         raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
     if p.k > 12:
         raise PartitionError(f"the LMI test needs at most 12 blocks, got {p.k}")
+    n = s.n
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = s.gamma_xx
+    M[n:, n:] = s.gamma_pp
     lowest = np.inf
-    worst: tuple[int, ...] = (1,) * s.n
+    worst: tuple[int, ...] = (1,) * n
     for tail in product((1, -1), repeat=p.k - 1):
         eps = np.array((1,) + tail)[p.labels]
-        E = np.diag(eps / 2.0)
-        low = float(np.linalg.eigvalsh(np.block([[s.gamma_xx, E], [E, s.gamma_pp]]))[0])
+        M[:n, n:] = M[n:, :n] = np.diag(eps / 2.0)
+        low = float(np.linalg.eigvalsh(M)[0])
         if low < lowest:
             lowest = low
             worst = tuple(eps.tolist())

@@ -29,13 +29,8 @@ from .bounds import (
     table1_bounds,
 )
 from .linalg import PSD_TOL, alt_inequality_gap, quantum_bound
-from .partitions import (
-    Partition,
-    PartitionError,
-    _block_text,
-    bipartitions,
-    parse_partition,
-)
+from .partitions import Partition, PartitionError, bipartitions, parse_partition
+from .partitions import _block_text
 from .states import (
     BUILTIN_STATES,
     GENUINE_P,
@@ -203,9 +198,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"{'physical' if physical else 'NOT physical'} "
         f"(min symplectic eigenvalue {smallest:.6f}, needs >= 0.5)"
     )
-    # The all-plus sign pattern is the physicality condition at PSD_TOL, tighter
-    # than is_physical's slack: on a physical state an LMI result counts as a
-    # detection only where it goes below that pattern's eigenvalue.
+    # The all-plus sign pattern is the physicality condition at PSD_TOL, tighter than
+    # is_physical's slack: on a physical state only LMI results below it count.
     floor = min(lmi_separability_test(state, Partition.trivial(n))[1], 0.0) - PSD_TOL
     certified = False
     results = []
@@ -549,7 +543,3 @@ def main(argv: list[str] | None = None) -> int:
     except (StateFormatError, PartitionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

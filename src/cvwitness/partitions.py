@@ -88,7 +88,7 @@ class Partition:
     def labels(self) -> np.ndarray:
         """Read-only, computed once: labels[i - 1] is the 0-based block of mode i."""
         owner = {i: k for k, block in enumerate(self.blocks) for i in block}
-        return _frozen(np.array([owner[i] for i in range(1, self.n + 1)]))
+        return _frozen(np.array([owner[i] for i in range(1, self.n + 1)], dtype=int))
 
     def block_of(self, i: int) -> int:
         """Index of the block containing mode i."""

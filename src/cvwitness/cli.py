@@ -207,8 +207,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         violated, min_eig, pattern = lmi_separability_test(state, p)
         counted = min_eig < floor
         verdicts = []
-        # complementary flips share a spectrum: a bipartition tests one side
-        pt_blocks = () if p.k == 1 else p.blocks[:1] if p.k == 2 else p.blocks
+        if p.k == 1:
+            pt_blocks = []
+        elif p.k == 2:
+            # complementary flips share a spectrum; test one side
+            pt_blocks = p.blocks[:1]
+        else:
+            pt_blocks = p.blocks
         for block in pt_blocks:
             pt = partial_transpose(state, block)
             pt_ok, pt_min = is_physical(pt)

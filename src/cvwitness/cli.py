@@ -37,7 +37,8 @@ from .states import (
     GENUINE_X,
     CVState,
     StateFormatError,
-    _declared_n,
+    _as_block,
+    _read_document,
     builtin_state,
     is_physical,
     load_state,
@@ -47,12 +48,12 @@ from .witness import (
     SearchConfig,
     ViolationReport,
     genuine_search,
-    measurement_sigma,
     optimize_witness,
     random_rank_one_search,
     reports_table,
     reports_to_json,
     rounding_bound,
+    violation_score,
 )
 
 _UNPHYSICAL = "state is not physical; separability tests are inconclusive"
@@ -90,24 +91,8 @@ def _load_cli_state(source: str) -> CVState:
 
 
 def _load_witness(path: str) -> WitnessPair:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StateFormatError(f"malformed witness JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StateFormatError("witness document must be a JSON object")
-    for field in ("n", "X", "P"):
-        if field not in doc:
-            raise StateFormatError(f"witness file missing field {field!r}")
-    n = _declared_n(doc)
-    X = np.asarray(doc["X"], dtype=float)
-    P = np.asarray(doc["P"], dtype=float)
-    for name, M in (("X", X), ("P", P)):
-        if M.shape != (n, n):
-            raise StateFormatError(f"witness {name} must be {n}x{n}, got {M.shape}")
-        if np.abs(M - M.T).max() > 1e-8:
-            raise StateFormatError(f"witness {name} is asymmetric beyond 1e-8")
-    return WitnessPair(X, P)
+    doc, n = _read_document(path, "witness", ("X", "P"))
+    return WitnessPair(*(_as_block(doc[k], n, f"witness {k}") for k in ("X", "P")))
 
 
 def _parse_partition_arg(text: str, n: int) -> Partition:
@@ -206,41 +191,32 @@ def cmd_check(args: argparse.Namespace) -> int:
     for p in parts:
         violated, min_eig, pattern = lmi_separability_test(state, p)
         counted = min_eig < floor
-        verdicts = []
-        if p.k == 1:
-            pt_blocks = []
-        elif p.k == 2:
-            # complementary flips share a spectrum; test one side
-            pt_blocks = p.blocks[:1]
-        else:
-            pt_blocks = p.blocks
-        for block in pt_blocks:
-            pt = partial_transpose(state, block)
-            pt_ok, pt_min = is_physical(pt)
-            verdicts.append((f"PT {_block_text(block, n)}", pt_ok, pt_min))
-        row = {
-            "partition": p.text,
-            "lmi_violated": violated,
-            "lmi_min_eigenvalue": min_eig,
-            "lmi_worst_pattern": list(pattern),
-            "partial_transposes": [
-                {"modes": v[0], "physical": v[1], "min_symplectic": v[2]}
-                for v in verdicts
-            ],
-        }
-        results.append(row)
-        pt_flags = [not ok for _, ok, _ in verdicts]
         print(f"partition {p.text}:")
-        for name, ok, val in verdicts:
-            print(f"  {name}: {'physical' if ok else 'unphysical'} (min {val:.6f})")
+        pts = []
+        # one block has no partial transpose; complementary flips share a
+        # spectrum, so a bipartition tests one side
+        for block in p.blocks[:1] if p.k == 2 else p.blocks if p.k > 2 else ():
+            ok, low = is_physical(partial_transpose(state, block))
+            name = f"PT {_block_text(block, n)}"
+            print(f"  {name}: {'physical' if ok else 'unphysical'} (min {low:.6f})")
+            pts.append({"modes": name, "physical": ok, "min_symplectic": low})
+            certified |= physical and not ok
         slack = physical and violated and not counted
         print(
             f"  LMI: {'VIOLATED' if violated else 'satisfied'} "
             f"(min eigenvalue {min_eig:.6f}, worst pattern {pattern})"
             f"{' within the physicality tolerance' if slack else ''}"
         )
-        if physical and (counted or any(pt_flags)):
-            certified = True
+        certified |= physical and counted
+        results.append(
+            {
+                "partition": p.text,
+                "lmi_violated": violated,
+                "lmi_min_eigenvalue": min_eig,
+                "lmi_worst_pattern": list(pattern),
+                "partial_transposes": pts,
+            }
+        )
     if not physical:
         print(_UNPHYSICAL)
     elif certified:
@@ -259,9 +235,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _certified(r: ViolationReport, state: CVState, s_level: float) -> bool:
     """A raw margin certifies when it beats the solver's duality gap (none
-    for random witnesses) plus the rounding bound of the margin itself."""
+    for random witnesses), the rounding bound of the margin itself and the
+    room is_physical's slack leaves. The smallest symplectic eigenvalue is
+    superadditive, so gamma + (1/2 - nu_min) I is physical; a separable
+    state that close raises G by at most (1/2 - nu_min)(tr X + tr P)."""
     if r.s is None:
-        return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state)
+        room = max(0.0, 0.5 - is_physical(state)[1])
+        room *= float(np.trace(r.witness.X) + np.trace(r.witness.P))
+        return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state) + room
     return r.s >= s_level
 
 
@@ -269,6 +250,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     state = _load_cli_state(args.state)
     n = state.n
     threads = _threads(args)
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     s_level = 0.0 if args.no_error else args.s_level
     if not args.no_error and not state.has_error_model:
         raise ValueError(
@@ -285,8 +268,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.genuine:
         if args.no_error:
             raise ValueError("the genuine search needs an error model")
-        if args.restarts < 0:
-            raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
         found, _, reports = genuine_search(state, cfg)
         print(reports_table(reports))
         print(
@@ -391,30 +372,16 @@ def _reproduce_ppt4() -> tuple[bool, list[str], dict]:
 def _reproduce_genuine4() -> tuple[bool, list[str], dict]:
     state = builtin_state("klev4")
     w = WitnessPair(GENUINE_X, GENUINE_P)
-    lines = []
-    G = evaluate_G(w, state)
-    sigma = measurement_sigma(w, state)
-    ok, line = _compare("G", G, _GENUINE_EXPECTED["G"], 1e-4)
-    lines.append(line)
-    all_ok = ok
-    ok, line = _compare("sigma", sigma, _GENUINE_EXPECTED["sigma"], 1e-4)
-    lines.append(line)
-    all_ok &= ok
-    payload = {"G": G, "sigma": sigma, "bounds": {}}
-    smin = np.inf
-    for p in bipartitions(4):
-        res = separability_bound(w, p)
-        payload["bounds"][p.text] = res.value
-        want = _GENUINE_EXPECTED["bounds"][p.text]
-        ok, line = _compare(f"B_{p.text}", res.value, want, 1e-3)
-        lines.append(line)
-        all_ok &= ok
-        smin = min(smin, (res.value - G) / sigma)
-    ok, line = _compare("min s", smin, _GENUINE_EXPECTED["min_s"], 0.01)
-    lines.append(line)
-    all_ok &= ok
-    payload["min_s"] = smin
-    return all_ok, lines, payload
+    reports = [violation_score(w, state, p) for p in bipartitions(4)]
+    bounds = {r.partition.text: r.bound for r in reports}
+    payload = {"G": reports[0].G, "sigma": reports[0].sigma, "bounds": bounds}
+    payload["min_s"] = min(r.s for r in reports)
+    want = _GENUINE_EXPECTED
+    checks = [(k, payload[k], want[k], 1e-4) for k in ("G", "sigma")]
+    checks += [(f"B_{k}", v, want["bounds"][k], 1e-3) for k, v in bounds.items()]
+    checks.append(("min s", payload["min_s"], want["min_s"], 0.01))
+    results = [_compare(*c) for c in checks]
+    return all(ok for ok, _ in results), [line for _, line in results], payload
 
 
 def _reproduce_alt() -> tuple[bool, list[str], dict]:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import NotPSD, symplectic_spectrum
+from .linalg import NotPSD, _spectrum
 
 # A state is physical when its symplectic spectrum stays above the vacuum
 # value 1/2; printed 5-decimal data may sit slightly below, hence the slack.
@@ -81,19 +81,11 @@ def make_state(
     return state
 
 
-def _declared_n(doc: dict) -> int:
-    """The document's "n", which must be a JSON integer (not a bool, float or null)."""
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise StateFormatError(f"field 'n' must be an integer, got {n!r}")
-    return n
+def _read_document(source, what: str, fields: tuple[str, ...]) -> tuple[dict, int]:
+    """Parse a JSON document from a file path, JSON text or dict.
 
-
-def load_state(source) -> CVState:
-    """Load a state from a JSON file path, JSON text, or parsed dict.
-
-    Expected document: {"n": int, "gamma_xx": [[...]], "gamma_pp": [[...]],
-    optional "sigma_xx"/"sigma_pp" of the same shape, optional "label"}.
+    It must be an object holding "n", a JSON integer (not a bool, float or
+    null), and every one of fields. Returns (document, n).
     """
     if isinstance(source, dict):
         doc = source
@@ -106,11 +98,23 @@ def load_state(source) -> CVState:
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise StateFormatError("state document must be a JSON object")
-    for field in ("n", "gamma_xx", "gamma_pp"):
+        raise StateFormatError(f"{what} document must be a JSON object")
+    for field in ("n",) + fields:
         if field not in doc:
-            raise StateFormatError(f"missing required field {field!r}")
-    n = _declared_n(doc)
+            raise StateFormatError(f"{what} document is missing field {field!r}")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise StateFormatError(f"field 'n' must be an integer, got {n!r}")
+    return doc, n
+
+
+def load_state(source) -> CVState:
+    """Load a state from a JSON file path, JSON text, or parsed dict.
+
+    Expected document: {"n": int, "gamma_xx": [[...]], "gamma_pp": [[...]],
+    optional "sigma_xx"/"sigma_pp" of the same shape, optional "label"}.
+    """
+    doc, n = _read_document(source, "state", ("gamma_xx", "gamma_pp"))
     state = make_state(
         doc["gamma_xx"],
         doc["gamma_pp"],
@@ -154,12 +158,8 @@ def is_physical(state: CVState) -> tuple[bool, float]:
     PSD gives (False, 0.0): 0 is the limit of the minimum as a block loses
     definiteness.
     """
-    n = state.n
-    gamma = np.zeros((2 * n, 2 * n))
-    gamma[:n, :n] = state.gamma_xx
-    gamma[n:, n:] = state.gamma_pp
     try:
-        smallest = float(symplectic_spectrum(gamma)[-1])
+        smallest = float(np.sqrt(_spectrum(state.gamma_xx, state.gamma_pp)[0]))
     except NotPSD:
         return False, 0.0
     return smallest >= 0.5 - PHYSICALITY_TOL, smallest

@@ -80,6 +80,9 @@ def test_bound_input_errors(capsys, tmp_path):
         ('{"n": true, "X": [[1]], "P": [[1]]}', "'n'"),
         ('{"n": 1.0, "X": [[1]], "P": [[1]]}', "'n'"),
         ('{"n": [1], "X": [[1]], "P": [[1]]}', "'n'"),
+        ('{"n": 2, "X": [[1, 0], [0, 1]], "P": [[NaN, 0], [0, 1]]}', "witness P"),
+        ('{"n": 2, "X": [[1]], "P": [[1, 0], [0, 1]]}', "witness X"),
+        ('{"n": 2, "X": [[1, 0], [0, 1]], "P": [[1, 0.1], [0, 1]]}', "witness P"),
     ],
 )
 def test_bound_rejects_malformed_witness_document(capsys, tmp_path, text, named):
@@ -183,17 +186,22 @@ def test_indefinite_blocks_are_inconclusive(capsys, tmp_path):
     assert "not physical" in out and "inconclusive" in out
 
 
-@pytest.mark.parametrize("delta", [5e-10, 9e-10])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_check_boundary_product_states_detect_nothing(capsys, tmp_path, n, delta):
-    # Product states just inside is_physical's slack: the all-plus sign
-    # pattern, itself the physicality condition, dips below -PSD_TOL but no
-    # pattern goes lower, so nothing is entanglement.
+def _boundary_product_states(n, delta):
+    # Diagonal and squeezed product states just inside is_physical's slack.
     r = np.linspace(-0.4, 0.4, n)
     squeezed = (np.diag(np.exp(2 * r)), np.diag(np.exp(-2 * r)))
     for gxx, gpp in ((np.eye(n), np.eye(n)), squeezed):
+        yield make_state((0.5 - delta) * gxx, (0.5 - delta) * gpp)
+
+
+@pytest.mark.parametrize("delta", [5e-10, 9e-10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_check_boundary_product_states_detect_nothing(capsys, tmp_path, n, delta):
+    # The all-plus sign pattern, itself the physicality condition, dips below
+    # -PSD_TOL but no pattern goes lower, so nothing is entanglement.
+    for state in _boundary_product_states(n, delta):
         path = tmp_path / "edge.json"
-        save_state(make_state((0.5 - delta) * gxx, (0.5 - delta) * gpp), path)
+        save_state(state, path)
         dest = tmp_path / "edge-check.json"
         code, out, _ = run(capsys, "check", "--state", str(path), "--json", str(dest))
         assert code == 0
@@ -201,6 +209,53 @@ def test_check_boundary_product_states_detect_nothing(capsys, tmp_path, n, delta
         doc = json.loads(dest.read_text())
         assert doc["physical"] is True
         assert all(row["lmi_min_eigenvalue"] < -1e-10 for row in doc["partitions"])
+
+
+@pytest.mark.parametrize("delta", [5e-10, 9e-10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_search_boundary_product_states_certify_nothing(capsys, tmp_path, n, delta):
+    # Raw margins of about 1e-9 sit within what the physicality slack allows:
+    # the vacuum, a separable state, lies delta * I above these states.
+    for state in _boundary_product_states(n, delta):
+        path = tmp_path / "edge.json"
+        save_state(state, path)
+        for extra in ([], ["--method", "random", "--trials", "65536"]):
+            code, out, _ = run(
+                capsys, "search", "--state", str(path), "--all-bipartitions",
+                "--no-error", *extra,
+            )
+            assert code == 0, (extra, out)
+            assert "nothing certified" in out and "certified across" not in out
+
+
+def _min_symplectic(gxx, gpp):
+    # Independent of the library: nu_min = sqrt of the least eigenvalue of gxx gpp.
+    return float(np.sqrt(np.linalg.eigvals(gxx @ gpp).real.min()))
+
+
+@pytest.mark.parametrize(
+    "text, labels, want", [("1|2|34", ["PT 1", "PT 2", "PT 34"], 1), ("trivial", [], 0)]
+)
+def test_check_partial_transposes_per_partition(capsys, tmp_path, ppt4, text, labels, want):
+    # One record per block (none for one block), printed and in --json alike;
+    # single-mode flips of ppt4 are unphysical, which certifies.
+    dest = tmp_path / "check.json"
+    code, out, _ = run(
+        capsys, "check", "--state", "ppt4", "--partition", text, "--json", str(dest)
+    )
+    assert code == want
+    printed = [line.split(":")[0].strip() for line in out.splitlines() if "  PT " in line]
+    assert printed == labels
+    (row,) = json.loads(dest.read_text())["partitions"]
+    pts = row["partial_transposes"]
+    assert [t["modes"] for t in pts] == labels
+    for t in pts:
+        signs = np.ones(4)
+        signs[[int(m) - 1 for m in t["modes"][3:]]] = -1.0
+        S = np.diag(signs)
+        want = _min_symplectic(ppt4.gamma_xx, S @ ppt4.gamma_pp @ S)
+        assert t["min_symplectic"] == pytest.approx(want, abs=1e-9)
+        assert t["physical"] is (want >= 0.5 - 1e-9)
 
 
 @pytest.mark.parametrize("name, want", [("ppt4", 1), ("klev4", 0), ("vacuum4", 0)])
@@ -425,6 +480,9 @@ def test_search_one_mode_state(capsys, tmp_path, extra):
         ["--genuine", "--s-level", "-1", "--restarts", "1"],
         ["--genuine", "--target-s", "nan", "--restarts", "1"],
         ["--partition", "1|234", "--s-level", "-0.5", "--trials", "100"],
+        ["--partition", "1|234", "--trials", "1000", "--restarts", "-1"],
+        ["--partition", "1|234", "--method", "optimize", "--restarts", "-1"],
+        ["--all-bipartitions", "--no-error", "--restarts", "-1"],
     ],
 )
 def test_search_rejects_negative_budget_or_level(capsys, argv):

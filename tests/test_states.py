@@ -134,6 +134,26 @@ def test_is_physical_squeezed_and_below_vacuum():
     assert not ok and low == pytest.approx(0.3)
 
 
+def _min_symplectic(gxx, gpp):
+    return float(np.sqrt(np.linalg.eigvals(gxx @ gpp).real.min()))
+
+
+def test_min_symplectic_eigenvalue_is_superadditive():
+    # nu_min(gamma + tau I) >= nu_min(gamma) + tau: a state within tau of the
+    # vacuum bound has a physical neighbour tau * I away. Margin-mode search
+    # relies on it; the spectra here come from eig(gxx gpp), not the library.
+    gen = np.random.default_rng(1503)
+    for _ in range(500):
+        n = int(gen.integers(1, 7))
+        A, B = gen.standard_normal((2, n, n))
+        gxx = A @ A.T + 1e-3 * np.eye(n)
+        gpp = B @ B.T + 1e-3 * np.eye(n)
+        tau = float(gen.uniform(0.0, 1.0))
+        eye = tau * np.eye(n)
+        low = _min_symplectic(gxx, gpp) + tau
+        assert _min_symplectic(gxx + eye, gpp + eye) >= low * (1 - 1e-9)
+
+
 def test_builtin_ppt4_matrices(ppt4):
     gxx = 0.5 * np.array(
         [[2, 0, 1, 0], [0, 2, 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]], dtype=float

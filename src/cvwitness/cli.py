@@ -13,6 +13,7 @@ entanglement certified (bound/check/search) or a reproduction mismatch;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -233,14 +234,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if (physical and certified) else 0
 
 
-def _certified(r: ViolationReport, state: CVState, s_level: float) -> bool:
+def _certified(
+    r: ViolationReport, state: CVState, s_level: float, *, nu_min: float | None = None
+) -> bool:
     """A raw margin certifies when it beats the solver's duality gap (none
     for random witnesses), the rounding bound of the margin itself and the
     room is_physical's slack leaves. The smallest symplectic eigenvalue is
     superadditive, so gamma + (1/2 - nu_min) I is physical; a separable
-    state that close raises G by at most (1/2 - nu_min)(tr X + tr P)."""
+    state that close raises G by at most (1/2 - nu_min)(tr X + tr P).
+    nu_min, when given, is is_physical(state)[1], computed once per search."""
     if r.s is None:
-        room = max(0.0, 0.5 - is_physical(state)[1])
+        if nu_min is None:
+            nu_min = is_physical(state)[1]
+        room = max(0.0, 0.5 - nu_min)
         room *= float(np.trace(r.witness.X) + np.trace(r.witness.P))
         return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state) + room
     return r.s >= s_level
@@ -285,10 +291,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     # Raw margins take the covariances as exact, so unphysical data certify
     # nothing. Error-aware searches are not gated yet: the builtin klev4, a
     # measured state with an error model, is itself below the vacuum bound.
-    if args.no_error and not is_physical(state)[0]:
-        print(_UNPHYSICAL)
-        _write_json(args.json, reports_to_json([]))
-        return 0
+    nu_min = None
+    if args.no_error:
+        physical, nu_min = is_physical(state)
+        if not physical:
+            print(_UNPHYSICAL)
+            _write_json(args.json, reports_to_json([]))
+            return 0
 
     # Rank-one draws cannot reach the matrix witnesses some states need, so
     # margin mode defaults to the convex search.
@@ -300,7 +309,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             state, parts, cfg, threads=threads, no_error=args.no_error
         )
     print(reports_table(reports))
-    hits = [r for r in reports if _certified(r, state, s_level)]
+    hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
     if hits:
         names = ", ".join(r.partition.text for r in hits)
         print(f"certified across: {names}")
@@ -417,7 +426,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every main call. parse_args makes a
+    fresh Namespace but shares the defaults, so each must stay immutable."""
     ap = argparse.ArgumentParser(
         prog="cvwitness",
         description="Certify multipartite entanglement of Gaussian states "
@@ -509,6 +521,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code; usage errors and --help
+    raise SystemExit. main may be called repeatedly in one process: it builds
+    its parser once and keeps no other state between calls. The parser binds
+    the cmd_* verb functions when it is first built, so replacing cli.cmd_*
+    after the first call has no effect."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

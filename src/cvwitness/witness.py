@@ -255,20 +255,25 @@ def random_rank_one_search(
             ok = var > 0
             scale = np.sqrt(np.where(ok, var, 1.0))
 
-        def score(bound, rows):
-            m = bound - gval[rows]
-            return m if no_error else np.where(ok[rows], m / scale[rows], -np.inf)
+        def scorer(rows):
+            """Scores of one partition on rows gathered once for every partition."""
+            h, g, gv = H[rows], G_[rows], gval[rows]
+            if no_error:
+                return lambda q: rank_one_bound(h, g, q) - gv
+            okr, sr = ok[rows], scale[rows]
+            return lambda q: np.where(okr, (rank_one_bound(h, g, q) - gv) / sr, -np.inf)
 
-        def rank_one(q, rows):
-            return score(rank_one_bound(H[rows], G_[rows], q), rows)
-
-        upper = score(bound, slice(None))
+        upper = bound - gval
+        if not no_error:
+            upper = np.where(ok, upper / scale, -np.inf)
         probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
-        theta = min(rank_one(q, probe).max() for q in parts)
+        at_probe = scorer(probe)
+        theta = min(at_probe(q).max() for q in parts)
         cand = np.flatnonzero(upper >= theta)
+        at_cand = scorer(cand)
         best = []
         for q in parts:
-            sc = rank_one(q, cand)
+            sc = at_cand(q)
             k = int(cand[np.argmax(sc)])  # first maximum: lowest trial index
             best.append((float(sc.max()), b * _BATCH + k, H[k].copy(), G_[k].copy()))
         return best

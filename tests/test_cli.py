@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: verbs, exit codes, JSON determinism."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import cvwitness
+from cvwitness import cli
 from cvwitness.cli import main
 from cvwitness.states import make_state, save_state
 
@@ -572,3 +574,72 @@ def test_usage_errors(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "cvwitness":  # sub-parsers are "cvwitness <verb>"
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for i in range(20):
+        argv = ("bound", "--symmetric-witness", str(3 + i % 3), "--partition", "full")
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_search_defaults_do_not_leak_between_calls(capsys, tmp_path):
+    margin = ("search", "--state", "ppt4", "--no-error", "--all-bipartitions")
+    code, out, _ = run(capsys, *margin)
+    assert code == 1
+    assert "matrix(4x4)" in out
+    dest = tmp_path / "klev4.json"
+    code, out, _ = run(
+        capsys, "search", "--state", "klev4", "--partition", "1|234",
+        "--trials", "1000", "--json", str(dest),
+    )
+    assert code == 1, out  # margin mode would call klev4 unphysical and exit 0
+    header, _, row = out.splitlines()[:3]
+    assert header.split()[:3] == ["partition", "G", "sigma"]
+    assert row.split()[0] == "1|234" and row.split()[2] != "-"  # an error model
+    assert "h=(" in out  # a rank-one witness: the random method
+    (report,) = json.loads(dest.read_text())
+    assert "gap" not in report and report["sigma"] is not None  # no solver ran
+
+
+@pytest.mark.parametrize(
+    "disrupt, want",
+    [
+        (["search", "--state", "klev4"], SystemExit),  # usage error
+        (["check", "--help"], SystemExit),
+        (["search", "--state", "klev4", "--all-bipartitions", "--restarts", "-1"], 2),
+    ],
+)
+def test_main_is_reusable_after_an_exit(capsys, disrupt, want):
+    probe = ("search", "--state", "klev4", "--partition", "12|34", "--trials", "2000")
+    cli._build_parser.cache_clear()
+    alone = run(capsys, *probe)
+    if want is SystemExit:
+        with pytest.raises(SystemExit):
+            main(disrupt)
+        capsys.readouterr()
+    else:
+        assert run(capsys, *disrupt)[0] == want
+    assert run(capsys, *probe) == alone
+
+
+def test_help_reads_the_terminal_width_when_it_formats(capsys, monkeypatch):
+    def widest(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        return max(map(len, capsys.readouterr().out.splitlines()))
+
+    wide = widest(200)
+    assert widest(60) < wide
+    assert widest(200) == wide

@@ -8,7 +8,7 @@ reproduce (recompute the bundled reference results and compare).
 
 Exit codes: 0 = ran, nothing certified / all values reproduced; 1 =
 entanglement certified (bound/check/search) or a reproduction mismatch;
-2 = usage or input error.
+2 = usage or input error. witness._certified decides what a search certifies.
 """
 from __future__ import annotations
 
@@ -47,13 +47,12 @@ from .states import (
 )
 from .witness import (
     SearchConfig,
-    ViolationReport,
+    _certified,
     genuine_search,
     optimize_witness,
     random_rank_one_search,
     reports_table,
     reports_to_json,
-    rounding_bound,
     violation_score,
 )
 
@@ -105,18 +104,18 @@ def _parse_partition_arg(text: str, n: int) -> Partition:
 
 
 def _threads(args: argparse.Namespace) -> int | None:
-    env = os.environ.get("CVWITNESS_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"CVWITNESS_THREADS must be an integer, got {env!r}")
-        if threads < 1:
-            raise ValueError(f"CVWITNESS_THREADS must be >= 1, got {threads}")
-        return threads
-    if args.threads is not None and args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
+    env = os.environ.get("CVWITNESS_THREADS")  # overrides --threads
+    name = "--threads" if env is None else "CVWITNESS_THREADS"
+    value = args.threads if env is None else env
+    if value is None:
+        return None
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if threads < 1:
+        raise ValueError(f"{name} must be >= 1, got {threads}")
+    return threads
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -139,11 +138,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.table1:
         if args.symmetric_witness is None:
             raise ValueError("--table1 applies to --symmetric-witness only")
-        row = table1_bounds(n)
-        cells = {k: v for k, v in row._asdict().items()}
+        cells = table1_bounds(n)._asdict()
         print(f"n = {n}")
-        for key in ("q", "a", "b", "f"):
-            v = cells[key]
+        for key, v in cells.items():
             print(f"  {key} = {'-' if v is None else format(v, '.5f')}")
         _write_json(args.json, json.dumps({"n": n, **cells}, indent=2))
         return 0
@@ -177,7 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.partition:
         parts = [_parse_partition_arg(args.partition, n)]
     else:
-        parts = bipartitions(n)
+        parts = bipartitions(n) if n > 1 else []
     physical, smallest = is_physical(state)
     print(
         f"state {state.label or args.state}: "
@@ -234,24 +231,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if (physical and certified) else 0
 
 
-def _certified(
-    r: ViolationReport, state: CVState, s_level: float, *, nu_min: float | None = None
-) -> bool:
-    """A raw margin certifies when it beats the solver's duality gap (none
-    for random witnesses), the rounding bound of the margin itself and the
-    room is_physical's slack leaves. The smallest symplectic eigenvalue is
-    superadditive, so gamma + (1/2 - nu_min) I is physical; a separable
-    state that close raises G by at most (1/2 - nu_min)(tr X + tr P).
-    nu_min, when given, is is_physical(state)[1], computed once per search."""
-    if r.s is None:
-        if nu_min is None:
-            nu_min = is_physical(state)[1]
-        room = max(0.0, 0.5 - nu_min)
-        room *= float(np.trace(r.witness.X) + np.trace(r.witness.P))
-        return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state) + room
-    return r.s >= s_level
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     state = _load_cli_state(args.state)
     n = state.n
@@ -275,48 +254,43 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.no_error:
             raise ValueError("the genuine search needs an error model")
         found, _, reports = genuine_search(state, cfg)
-        print(reports_table(reports))
-        print(
+        verdict = (
             f"genuine multipartite entanglement at level s >= {cfg.s_level}: "
             f"{'FOUND' if found else 'not found'}"
         )
-        _write_json(args.json, reports_to_json(reports))
-        return 1 if found else 0
-
-    parts = (
-        bipartitions(n)
-        if args.all_bipartitions
-        else [_parse_partition_arg(args.partition, n)]
-    )
-    # Raw margins take the covariances as exact, so unphysical data certify
-    # nothing. Error-aware searches are not gated yet: the builtin klev4, a
-    # measured state with an error model, is itself below the vacuum bound.
-    nu_min = None
-    if args.no_error:
-        physical, nu_min = is_physical(state)
-        if not physical:
-            print(_UNPHYSICAL)
-            _write_json(args.json, reports_to_json([]))
-            return 0
-
-    # Rank-one draws cannot reach the matrix witnesses some states need, so
-    # margin mode defaults to the convex search.
-    method = args.method or ("optimize" if args.no_error else "random")
-    if method == "optimize":
-        reports = optimize_witness(state, parts, cfg, no_error=args.no_error)
     else:
-        reports = random_rank_one_search(
-            state, parts, cfg, threads=threads, no_error=args.no_error
-        )
+        if args.all_bipartitions:
+            parts = bipartitions(n)
+        else:
+            parts = [_parse_partition_arg(args.partition, n)]
+        # Raw margins take the covariances as exact, so unphysical data certify
+        # nothing. Error-aware searches are not gated yet: the builtin klev4, a
+        # measured state with an error model, is itself below the vacuum bound.
+        nu_min = None
+        if args.no_error:
+            physical, nu_min = is_physical(state)
+            if not physical:
+                print(_UNPHYSICAL)
+                _write_json(args.json, reports_to_json([]))
+                return 0
+        # Rank-one draws cannot reach the matrix witnesses some states need, so
+        # margin mode defaults to the convex search.
+        method = args.method or ("optimize" if args.no_error else "random")
+        if method == "optimize":
+            reports = optimize_witness(state, parts, cfg, no_error=args.no_error)
+        else:
+            reports = random_rank_one_search(
+                state, parts, cfg, threads=threads, no_error=args.no_error
+            )
+        hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
+        found = bool(hits)
+        verdict = "nothing certified at the requested level"
+        if found:
+            verdict = "certified across: " + ", ".join(r.partition.text for r in hits)
     print(reports_table(reports))
-    hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
-    if hits:
-        names = ", ".join(r.partition.text for r in hits)
-        print(f"certified across: {names}")
-    else:
-        print("nothing certified at the requested level")
+    print(verdict)
     _write_json(args.json, reports_to_json(reports))
-    return 1 if hits else 0
+    return 1 if found else 0
 
 
 def _compare(name: str, got: float, want: float, tol: float) -> tuple[bool, str]:
@@ -328,22 +302,20 @@ def _compare(name: str, got: float, want: float, tol: float) -> tuple[bool, str]
     return ok, line
 
 
+def _checked(checks: list[tuple], payload: dict) -> tuple[bool, list[str], dict]:
+    """Compare each (name, got, want, tol); all must pass."""
+    results = [_compare(*c) for c in checks]
+    return all(ok for ok, _ in results), [line for _, line in results], payload
+
+
 def _reproduce_table1() -> tuple[bool, list[str], dict]:
-    lines = []
-    all_ok = True
-    rows = {}
-    for n in range(2, 9):
-        row = table1_bounds(n)
-        rows[n] = row._asdict()
-        for key in ("q", "a", "b", "f"):
-            got = getattr(row, key)
-            want = _TABLE1_EXPECTED[key].get(n)
-            if got is None or want is None:
-                continue
-            ok, line = _compare(f"{key}(n={n})", got, want, 0.01)
-            all_ok &= ok
-            lines.append(line)
-    return all_ok, lines, {"rows": rows}
+    rows = {n: table1_bounds(n)._asdict() for n in range(2, 9)}
+    checks = [
+        (f"{key}(n={n})", row[key], want[n], 0.01)
+        for n, row in rows.items() for key, want in _TABLE1_EXPECTED.items()
+        if row[key] is not None and n in want
+    ]
+    return _checked(checks, {"rows": rows})
 
 
 def _reproduce_ppt4() -> tuple[bool, list[str], dict]:
@@ -389,8 +361,7 @@ def _reproduce_genuine4() -> tuple[bool, list[str], dict]:
     checks = [(k, payload[k], want[k], 1e-4) for k in ("G", "sigma")]
     checks += [(f"B_{k}", v, want["bounds"][k], 1e-3) for k, v in bounds.items()]
     checks.append(("min s", payload["min_s"], want["min_s"], 0.01))
-    results = [_compare(*c) for c in checks]
-    return all(ok for ok, _ in results), [line for _, line in results], payload
+    return _checked(checks, payload)
 
 
 def _reproduce_alt() -> tuple[bool, list[str], dict]:

@@ -7,7 +7,8 @@ scores witnesses, converts levels to confidences, and finds violating
 witnesses: random rank-one sampling, and the exact optimum per partition or
 for genuine multipartite entanglement from one convex program (see _lift).
 The optimum comes with the solver's duality gap, and the seed does not
-change it.
+change it. Every search ends in _report, which rescores its winner, and
+in _certified, the one rule for whether a report certifies.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .bounds import (
     separability_bound,
 )
 from .partitions import Partition, bipartitions
-from .states import CVState
+from .states import CVState, is_physical
 
 _BATCH = 65536
 _PROBE = 64  # top trials per batch that set its pruning threshold
@@ -129,14 +130,18 @@ def violation_score(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport
     cert = separability_bound(w, p)
     G = evaluate_G(w, s)
     score = (cert.value - G) / sigma
-    conf = erfc(score / sqrt(2.0)) if score >= 0 else 1.0
+    conf = confidence(score) if score >= 0 else 1.0
     return ViolationReport(p, G, sigma, cert.value, score, conf, w, cert)
 
 
-def _margin_report(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport:
-    """Scorecard without the error model: the raw margin only."""
+def _report(w: WitnessPair, s: CVState, p: Partition, score: bool, **solver):
+    """Rescore a search's winner: through violation_score when score is set,
+    else by the raw margin only. solver holds the converged and gap fields."""
+    if score:
+        return replace(violation_score(w, s, p), **solver)
     cert = separability_bound(w, p)
-    return ViolationReport(p, evaluate_G(w, s), None, cert.value, None, None, w, cert)
+    G = evaluate_G(w, s)
+    return ViolationReport(p, G, None, cert.value, None, None, w, cert, **solver)
 
 
 def rounding_bound(w: WitnessPair, s: CVState) -> float:
@@ -151,6 +156,26 @@ def rounding_bound(w: WitnessPair, s: CVState) -> float:
     return float(64 * w.n * np.finfo(float).eps * scale)
 
 
+def _certified(
+    r: ViolationReport, state: CVState, s_level: float, *, nu_min: float | None = None
+) -> bool:
+    """Whether a search report certifies. One block certifies nothing: B(X, P)
+    bounds every physical state. A score must reach s_level. A raw margin
+    must beat the solver's duality gap (none for random witnesses), its own
+    rounding bound, and (1/2 - nu_min)(tr X + tr P): nu_min is superadditive,
+    so gamma + (1/2 - nu_min) I is physical, and a separable state that close
+    moves G by at most that. nu_min defaults to is_physical(state)[1]."""
+    if r.partition.k < 2:
+        return False
+    if r.s is None:
+        if nu_min is None:
+            nu_min = is_physical(state)[1]
+        room = max(0.0, 0.5 - nu_min)
+        room *= float(np.trace(r.witness.X) + np.trace(r.witness.P))
+        return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state) + room
+    return r.s >= s_level
+
+
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
@@ -159,6 +184,15 @@ def _resolve_threads(threads: int | None) -> int:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     return threads
+
+
+def _partition_list(s: CVState, p: Partition | Sequence[Partition]) -> list[Partition]:
+    """p as a list, one partition or a sequence, each checked against s.n."""
+    parts = [p] if isinstance(p, Partition) else list(p)
+    for q in parts:
+        if q.n != s.n:
+            raise ValueError(f"state is {s.n}-mode but partition is over {q.n}")
+    return parts
 
 
 def _batch_rng(seed: int, stream: int) -> np.random.Generator:
@@ -205,7 +239,7 @@ def random_rank_one_search(
     trial index on ties, so the result is identical for any thread count.
     Each winner is rescored through separability_bound. With no_error=True
     the error model is ignored and trials are ranked by the raw margin
-    B_I - G instead of the significance level.
+    B_I - G, each sigma set to 1, instead of the significance level.
 
     A partition is scored only on the trials whose bound u_t, the score with
     S_t = sum_i |h_i g_i| (1 + 1e-12) in place of B_I (_trial_bound), reaches
@@ -218,14 +252,10 @@ def random_rank_one_search(
     monotonically. So each winner, scoring at least theta, is among the
     trials scored, which stay in index order for ties.
     """
-    single = isinstance(p, Partition)
-    parts = [p] if single else list(p)
     if not no_error:
         _require_model(s)
+    parts = _partition_list(s, p)
     n = s.n
-    for q in parts:
-        if q.n != n:
-            raise ValueError(f"state is {n}-mode but partition is over {q.n}")
     batches = range((cfg.trials + _BATCH - 1) // _BATCH)
     workers = min(_resolve_threads(threads), len(batches))
     if not parts:
@@ -248,24 +278,21 @@ def random_rank_one_search(
             HT, GT, tile = T[:n], T[n:], slice(lo, lo + T.shape[1])
             gval[tile] = _quad(HT, gxx) + _quad(GT, gpp)
             bound[tile] = _trial_bound(HT.T, GT.T)
-            if not no_error:
+            if no_error:
+                var[tile] = 1.0
+            else:
                 np.square(T, out=T)
                 var[tile] = _quad(HT, sxx2) + _quad(GT, spp2)
-        if not no_error:
-            ok = var > 0
-            scale = np.sqrt(np.where(ok, var, 1.0))
+        ok = var > 0
+        scale = np.sqrt(np.where(ok, var, 1.0))
 
         def scorer(rows):
             """Scores of one partition on rows gathered once for every partition."""
-            h, g, gv = H[rows], G_[rows], gval[rows]
-            if no_error:
-                return lambda q: rank_one_bound(h, g, q) - gv
-            okr, sr = ok[rows], scale[rows]
+            h, g, gv, okr, sr = H[rows], G_[rows], gval[rows], ok[rows], scale[rows]
             return lambda q: np.where(okr, (rank_one_bound(h, g, q) - gv) / sr, -np.inf)
 
         upper = bound - gval
-        if not no_error:
-            upper = np.where(ok, upper / scale, -np.inf)
+        upper = np.where(ok, upper / scale, -np.inf)
         probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
         at_probe = scorer(probe)
         theta = min(at_probe(q).max() for q in parts)
@@ -289,9 +316,8 @@ def random_rank_one_search(
         if score == -np.inf:
             raise ZeroSigma("every trial had zero sigma; check the error model")
         win = WitnessPair(np.outer(h, h), np.outer(g, g))
-        report = _margin_report(win, s, q) if no_error else violation_score(win, s, q)
-        reports.append(report)
-    return reports[0] if single else reports
+        reports.append(_report(win, s, q, not no_error))
+    return reports[0] if isinstance(p, Partition) else reports
 
 
 _NONPOSITIVE_G = "witness has nonpositive G; cannot normalize"
@@ -378,9 +404,7 @@ def _lift(
         G = float(gam @ xp)
         if not G > 0:
             raise ValueError(_NONPOSITIVE_G)
-        X, P = np.zeros((2, n, n))
-        X[iu], P[iu] = xp[:nt], xp[nt:]
-        X, P = (C / G) * (X + np.triu(X, 1).T), (C / G) * (P + np.triu(P, 1).T)
+        X, P = (C / G) * xp[:nt][tri], (C / G) * xp[nt:][tri]
         gap = abs(dual - float(b[v0:v1] @ sol.y[v0:v1]))
         out.append((WitnessPair(X, P), gap, sol.converged))
     return out
@@ -403,23 +427,19 @@ def optimize_witness(
     no_error=True needs s_level = 0. p is one partition (one report) or a
     sequence (one report each, in order, each with its own witness).
     """
-    single = isinstance(p, Partition)
-    parts = [p] if single else list(p)
     if no_error and cfg.s_level > 0:
         raise ValueError("no_error scoring requires s_level == 0")
     if cfg.s_level > 0:
         _require_model(s)
-    for q in parts:
-        if q.n != s.n:
-            raise ValueError(f"state is {s.n}-mode but partition is over {q.n}")
+    parts = _partition_list(s, p)
     if not parts:
         return []
     score = s.has_error_model and not no_error
-    reports = []
-    for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, score, cfg.C)):
-        report = violation_score(w, s, q) if score else _margin_report(w, s, q)
-        reports.append(replace(report, converged=ok, gap=gap))
-    return reports[0] if single else reports
+    reports = [
+        _report(w, s, q, score, converged=ok, gap=gap)
+        for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, score, cfg.C))
+    ]
+    return reports[0] if isinstance(p, Partition) else reports
 
 
 def genuine_search(
@@ -428,18 +448,16 @@ def genuine_search(
     """The witness with the largest min over bipartitions I of s_I.
 
     One SDP in score mode over every bipartition with one shared witness
-    (see _lift); FOUND when every rescored s_I reaches cfg.s_level. The
-    result does not depend on cfg.seed, and each report carries the gap.
+    (see _lift); FOUND when _certified accepts every bipartition's report.
+    The result does not depend on cfg.seed; each report carries the gap.
     """
     _require_model(s)
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
     bips = bipartitions(s.n)
     ((witness, gap, ok),) = _lift(s, bips, True, True, cfg.C)
-    reports = [
-        replace(violation_score(witness, s, q), converged=ok, gap=gap) for q in bips
-    ]
-    return all(r.s >= cfg.s_level for r in reports), witness, reports
+    reports = [_report(witness, s, q, True, converged=ok, gap=gap) for q in bips]
+    return all(_certified(r, s, cfg.s_level) for r in reports), witness, reports
 
 
 def _describe_witness(w: WitnessPair) -> str:

@@ -476,6 +476,40 @@ def test_search_one_mode_state(capsys, tmp_path, extra):
 
 
 @pytest.mark.parametrize(
+    "level, extra",
+    [("4", ["--method", "optimize"]), ("2", ["--method", "random", "--trials", "1000000"])],
+)
+def test_one_block_partition_certifies_nothing(capsys, tmp_path, level, extra):
+    # B(X, P) bounds G on every physical state, so a witness beating it on the
+    # one-block partition shows that klev4's data are unphysical (its minimum
+    # symplectic eigenvalue is below 1/2), not that they are entangled.
+    dest = tmp_path / "trivial.json"
+    code, out, _ = run(
+        capsys, "search", "--state", "klev4", "--partition", "trivial",
+        "--s-level", level, *extra, "--json", str(dest),
+    )
+    (report,) = json.loads(dest.read_text())
+    assert report["partition"] == "1234" and report["s"] > float(level)
+    assert code == 0, out
+    assert "nothing certified" in out and "certified across" not in out
+
+
+@pytest.mark.parametrize("g, verdict", [(0.7, "nothing detected"), (0.3, "inconclusive")])
+def test_check_one_mode_state(capsys, tmp_path, g, verdict):
+    # One mode has no bipartition: check reports physicality only, with
+    # nu = sqrt(gxx gpp) = g.
+    path = tmp_path / "one.json"
+    save_state(make_state([[g]], [[g]]), path)
+    dest = tmp_path / "one-check.json"
+    code, out, err = run(capsys, "check", "--state", str(path), "--json", str(dest))
+    assert code == 0, err
+    assert f"(min symplectic eigenvalue {g:.6f}, needs >= 0.5)" in out
+    assert verdict in out and "partition" not in out
+    doc = json.loads(dest.read_text())
+    assert doc["physical"] is (g >= 0.5) and doc["partitions"] == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--genuine", "--restarts", "-1"],

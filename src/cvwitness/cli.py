@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -104,17 +105,19 @@ def _parse_partition_arg(text: str, n: int) -> Partition:
 
 
 def _threads(args: argparse.Namespace) -> int | None:
-    env = os.environ.get("CVWITNESS_THREADS")  # overrides --threads
-    name = "--threads" if env is None else "CVWITNESS_THREADS"
-    value = args.threads if env is None else env
-    if value is None:
-        return None
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if threads < 1:
-        raise ValueError(f"{name} must be >= 1, got {threads}")
+    """--threads, overridden by CVWITNESS_THREADS; each given one must be an
+    integer >= 1, so a valid override hides no bad flag."""
+    threads = None
+    env = os.environ.get("CVWITNESS_THREADS")
+    for name, value in (("--threads", args.threads), ("CVWITNESS_THREADS", env)):
+        if value is None:
+            continue
+        try:
+            threads = int(value)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if threads < 1:
+            raise ValueError(f"{name} must be >= 1, got {threads}")
     return threads
 
 
@@ -124,9 +127,10 @@ def _fmt_matrix(M: np.ndarray) -> str:
     )
 
 
-def _write_json(path: str | None, text: str) -> None:
+def _write_json(path: str | None, text: Callable[[], str]) -> None:
+    """Write text() to path; the text is built only when a path was given."""
     if path:
-        Path(path).write_text(text + "\n")
+        Path(path).write_text(text() + "\n")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -142,7 +146,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print(f"n = {n}")
         for key, v in cells.items():
             print(f"  {key} = {'-' if v is None else format(v, '.5f')}")
-        _write_json(args.json, json.dumps({"n": n, **cells}, indent=2))
+        _write_json(args.json, lambda: json.dumps({"n": n, **cells}, indent=2))
         return 0
 
     p = _parse_partition_arg(args.partition, n)
@@ -164,7 +168,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "certificate_P": res.certificate_P.tolist(),
             }
         )
-    _write_json(args.json, json.dumps(payload, indent=2))
+    _write_json(args.json, lambda: json.dumps(payload, indent=2))
     return 0
 
 
@@ -221,13 +225,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("entanglement certified")
     else:
         print("nothing detected")
-    _write_json(
-        args.json,
-        json.dumps(
-            {"physical": physical, "min_symplectic": smallest, "partitions": results},
-            indent=2,
-        ),
-    )
+    payload = {"physical": physical, "min_symplectic": smallest, "partitions": results}
+    _write_json(args.json, lambda: json.dumps(payload, indent=2))
     return 1 if (physical and certified) else 0
 
 
@@ -271,7 +270,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             physical, nu_min = is_physical(state)
             if not physical:
                 print(_UNPHYSICAL)
-                _write_json(args.json, reports_to_json([]))
+                _write_json(args.json, lambda: reports_to_json([]))
                 return 0
         # Rank-one draws cannot reach the matrix witnesses some states need, so
         # margin mode defaults to the convex search.
@@ -289,7 +288,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             verdict = "certified across: " + ", ".join(r.partition.text for r in hits)
     print(reports_table(reports))
     print(verdict)
-    _write_json(args.json, reports_to_json(reports))
+    _write_json(args.json, lambda: reports_to_json(reports))
     return 1 if found else 0
 
 
@@ -393,7 +392,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     for line in lines:
         print(line)
     print("all values reproduced" if ok else "MISMATCHES found")
-    _write_json(args.json, json.dumps(payload, indent=2))
+    _write_json(args.json, lambda: json.dumps(payload, indent=2))
     return 0 if ok else 1
 
 

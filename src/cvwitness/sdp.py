@@ -15,6 +15,13 @@ Optim. Methods Softw. 11, 545 (1999)). The caller supplies a strictly
 feasible y0, so every iterate y is feasible (up to rounding) and b.y is
 attained; W starts at Z(y0)^-1 and reaches feasibility along the way.
 
+The corrector centres with sigma = min(1, mu_aff/mu)^e, where mu_aff is the
+duality measure after the predictor's steps a_W and a_Z, and the exponent
+e = max(1, 3 min(a_W, a_Z)^2) follows those steps as in SDPT3: after short
+steps the iterates are poorly centred, and a smaller exponent centres them
+more, so the next steps are long again. Each Newton system is solved once
+and refined by one step against the Schur complement itself.
+
 Each F_ji is sparse: a block lists terms (i, row, col, coef), each putting
 coef*y_i at (row, col) and (col, row), once on the diagonal. Each variable
 carries a group label: variables of group k >= 0 may share blocks with the
@@ -54,13 +61,15 @@ class Block:
 @dataclass(frozen=True)
 class Solution:
     """The best iterate: y (feasible up to rounding), the dual matrices W (one
-    per block, in input order), both objectives, and whether it met _ACCEPT."""
+    per block, in input order), both objectives, whether it met _ACCEPT, and
+    the number of interior-point steps taken."""
 
     y: np.ndarray
     W: list[np.ndarray]
     primal: float
     dual: float
     converged: bool
+    iterations: int
 
 
 def _mT(A: np.ndarray) -> np.ndarray:
@@ -151,8 +160,8 @@ class _Problem:
         """Factor M_pq = sum_j tr(F_jp W_j F_jq Z_j^-1) and return its solver.
 
         M = [[H, E], [E^T, S]], H block diagonal over the groups, is solved
-        through the Cholesky factors of H and of S - E^T H^-1 E, with two
-        steps of iterative refinement against M itself.
+        through the Cholesky factors of H and of S - E^T H^-1 E, with one
+        step of iterative refinement against M itself.
         """
         wf = np.concatenate([A.ravel() for A in W])
         zf = np.concatenate([A.ravel() for A in Zi])
@@ -178,14 +187,12 @@ class _Problem:
 
         def solve(r: np.ndarray) -> np.ndarray:
             dy = once(r)
-            for _ in range(2):
-                ext = np.append(dy, 0.0)
-                dL, dS = ext[self.local], dy[self.shared]
-                Mdy = np.zeros(self.m + 1)
-                Mdy[self.local] = (H @ dL[..., None])[..., 0] + E @ dS
-                Mdy[self.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
-                dy = dy + once(r - Mdy[: self.m])
-            return dy
+            ext = np.append(dy, 0.0)
+            dL, dS = ext[self.local], dy[self.shared]
+            Mdy = np.zeros(self.m + 1)
+            Mdy[self.local] = (H @ dL[..., None])[..., 0] + E @ dS
+            Mdy[self.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
+            return dy + once(r - Mdy[: self.m])
 
         return solve
 
@@ -234,7 +241,7 @@ def solve(
     except np.linalg.LinAlgError:
         raise ValueError("the starting point is not strictly feasible") from None
     best, stall, moved = None, 0, True
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER + 1):
         Zi = [_mT(A[len(A) // 2 :]) @ A[len(A) // 2 :] for A in L]
         primal = float(b @ y)
         dual = float(prob.F0 @ np.concatenate([A.ravel() for A in W]))
@@ -245,7 +252,8 @@ def solve(
             best, stall = (err, y, W, primal, dual), 0
         else:
             stall += 1
-        if err <= _TOL or (best[0] <= _ACCEPT and stall == _STALL) or not moved:
+        stop = err <= _TOL or (best[0] <= _ACCEPT and stall == _STALL)
+        if stop or not moved or it == _MAX_ITER:
             break
         try:
             newton = prob.schur(W, Zi)
@@ -258,7 +266,8 @@ def solve(
             ap, ad = _steps(L, dW, dZ)
             pairs = zip(W, dW, Z, dZ)
             mu_a = sum(np.sum((A + ap * dA) * (B + ad * dB)) for A, dA, B, dB in pairs)
-            sigma = min(1.0, max(0.0, float(mu_a) / N / mu)) ** 3
+            expon = max(1.0, 3.0 * min(ap, ad) ** 2)
+            sigma = min(1.0, max(0.0, float(mu_a) / N / mu)) ** expon
 
             # Corrector: centering plus the second-order term.
             corr = [sigma * mu * Q - dA @ dB @ Q for Q, dA, dB in zip(Zi, dW, dZ)]
@@ -276,4 +285,4 @@ def solve(
     err, y, W, primal, dual = best
     back = np.argsort(prob.order)
     W = [A for stack in W for A in stack]
-    return Solution(y, [W[i] for i in back], primal, dual, err <= _ACCEPT)
+    return Solution(y, [W[i] for i in back], primal, dual, err <= _ACCEPT, it)

@@ -160,20 +160,23 @@ def _certified(
     r: ViolationReport, state: CVState, s_level: float, *, nu_min: float | None = None
 ) -> bool:
     """Whether a search report certifies. One block certifies nothing: B(X, P)
-    bounds every physical state. A score must reach s_level. A raw margin
-    must beat the solver's duality gap (none for random witnesses), its own
-    rounding bound, and (1/2 - nu_min)(tr X + tr P): nu_min is superadditive,
-    so gamma + (1/2 - nu_min) I is physical, and a separable state that close
-    moves G by at most that. nu_min defaults to is_physical(state)[1]."""
+    bounds every physical state. A score must reach s_level, and its margin
+    B_I - G beat its rounding bound, so at s_level = 0 a tie certifies
+    nothing. A raw margin must beat the solver's duality gap (none for random
+    witnesses), its own rounding bound, and (1/2 - nu_min)(tr X + tr P):
+    nu_min is superadditive, so gamma + (1/2 - nu_min) I is physical, and a
+    separable state that close moves G by at most that. nu_min defaults to
+    is_physical(state)[1]."""
     if r.partition.k < 2:
         return False
+    rounding = rounding_bound(r.witness, state)
     if r.s is None:
         if nu_min is None:
             nu_min = is_physical(state)[1]
         room = max(0.0, 0.5 - nu_min)
         room *= float(np.trace(r.witness.X) + np.trace(r.witness.P))
-        return r.bound - r.G > (r.gap or 0.0) + rounding_bound(r.witness, state) + room
-    return r.s >= s_level
+        return r.bound - r.G > (r.gap or 0.0) + rounding + room
+    return r.s >= s_level and r.bound - r.G > rounding
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -468,7 +471,10 @@ def _describe_witness(w: WitnessPair) -> str:
         if vals[-1] <= 0 or (w.n > 1 and vals[-2] > 1e-8 * vals[-1]):
             return f"matrix({w.n}x{w.n})"
         v = np.sqrt(vals[-1]) * vecs[:, -1]
-        if v[np.argmax(np.abs(v))] < 0:
+        # The first entry within a relative 1e-6 of the largest magnitude is
+        # made positive, so entries that tie up to rounding flip no sign.
+        a = np.abs(v)
+        if v[np.argmax(a >= (1 - 1e-6) * a.max())] < 0:
             v = -v
         parts.append(name + "=(" + ", ".join(f"{x:.2f}" for x in v) + ")")
     return " ".join(parts)

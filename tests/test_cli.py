@@ -442,6 +442,50 @@ def test_search_rejects_thread_count_below_one(capsys, monkeypatch, flag, env):
     assert "must be >= 1" in err
 
 
+def test_valid_thread_env_hides_no_bad_flag(capsys, monkeypatch):
+    # The environment value overrides the flag, but the flag is checked too.
+    monkeypatch.setenv("CVWITNESS_THREADS", "2")
+    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "10"]
+    code, out, err = run(capsys, *argv, "--threads", "0")
+    assert (code, out) == (2, "")
+    assert "--threads must be >= 1, got 0" in err
+
+
+def test_thread_env_overrides_a_valid_flag(capsys, monkeypatch):
+    seen = []
+    search = cli.random_rank_one_search
+
+    def spy(*args, threads, **kwargs):
+        seen.append(threads)
+        return search(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(cli, "random_rank_one_search", spy)
+    monkeypatch.setenv("CVWITNESS_THREADS", "1")
+    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "10"]
+    run(capsys, *argv, "--threads", "2")
+    assert seen == [1]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("search --state ppt4 --all-bipartitions --no-error", 1),
+        ("check --state ppt4", 1),
+        ("bound --symmetric-witness 4 --table1", 0),
+        ("bound --symmetric-witness 4 --partition 12|34", 0),
+        ("reproduce ppt4", 0),
+    ],
+)
+def test_no_json_is_built_without_a_path(capsys, monkeypatch, argv, want):
+    def refuse(*args, **kwargs):
+        raise AssertionError("JSON text built without --json")
+
+    monkeypatch.setattr(cli, "reports_to_json", refuse)
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == want and out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -492,6 +536,20 @@ def test_one_block_partition_certifies_nothing(capsys, tmp_path, level, extra):
     assert report["partition"] == "1234" and report["s"] > float(level)
     assert code == 0, out
     assert "nothing certified" in out and "certified across" not in out
+
+
+@pytest.mark.parametrize("target", [["--all-bipartitions", "--method", "optimize"], ["--genuine"]])
+def test_ties_certify_nothing_at_level_zero(capsys, tmp_path, target):
+    # vacuum4 is separable: its optimal scores are 0 up to rounding, so
+    # B_I = G, and a tie is no violation, whatever sign rounding gives s.
+    dest = tmp_path / "tie.json"
+    code, out, _ = run(
+        capsys, "search", "--state", "vacuum4", *target, "--s-level", "0",
+        "--json", str(dest),
+    )
+    assert all(abs(row["s"]) < 1e-9 for row in json.loads(dest.read_text()))
+    assert code == 0, out
+    assert "certified across" not in out and "FOUND" not in out
 
 
 @pytest.mark.parametrize("g, verdict", [(0.7, "nothing detected"), (0.3, "inconclusive")])

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cvwitness import sdp
 from cvwitness.bounds import WitnessPair, lmi_separability_test
 from cvwitness.cli import _certified, main
 from cvwitness.partitions import bipartitions, parse_partition
@@ -25,6 +26,7 @@ from cvwitness.witness import (
     rounding_bound,
     violation_score,
 )
+from test_rank_one_sweep import _network_state
 
 MARGIN = SearchConfig(s_level=0.0)
 
@@ -166,3 +168,50 @@ def test_vacuum_controls_converge():
             assert r.converged and r.s <= 1e-6, r.partition.text
         for r in optimize_witness(s, parts, MARGIN, no_error=True):
             assert r.converged and not _certified(r, s, 0.0), r.partition.text
+
+
+def _solutions(monkeypatch) -> list[sdp.Solution]:
+    """Every Solution the searches get from the solver, in call order."""
+    seen = []
+    solve = sdp.solve
+
+    def recording(*args):
+        seen.append(solve(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    return seen
+
+
+def _search(s, mode: str) -> None:
+    if mode == "genuine":
+        genuine_search(s, SearchConfig(s_level=4.0))
+    else:
+        no_error = mode == "margin"
+        optimize_witness(s, bipartitions(s.n), MARGIN, no_error=no_error)
+
+
+@pytest.mark.parametrize(
+    "name, mode, budget",
+    [("ppt4", "margin", 11), ("klev4", "genuine", 17), ("vacuum4", "genuine", 7)],
+)
+def test_iteration_budgets(request, monkeypatch, name, mode, budget):
+    # Interior-point steps of the one solve behind each search.
+    solutions = _solutions(monkeypatch)
+    _search(request.getfixturevalue(name), mode)
+    (sol,) = solutions
+    assert sol.converged and sol.iterations <= budget
+
+
+def test_seeded_corpus_iteration_ceiling(monkeypatch):
+    # 18 solves: n = 3..5, two seeds, genuine, margin and score mode. They
+    # take 308 steps in all; the ceiling leaves room for rounding that differs
+    # between BLAS builds.
+    solutions = _solutions(monkeypatch)
+    for n in (3, 4, 5):
+        for seed in (100, 101):
+            s = _network_state(n, seed)
+            for mode in ("genuine", "margin", "score"):
+                _search(s, mode)
+    assert len(solutions) == 18 and all(sol.converged for sol in solutions)
+    assert sum(sol.iterations for sol in solutions) <= 320

@@ -31,7 +31,7 @@ def test_lift_of_one_block_is_the_nuclear_norm(label):
         sol = sdp.solve(b, [block], np.zeros(k * k), np.full(k * k, label))
         factors = np.linalg.cholesky(A).T @ np.linalg.cholesky(B)
         want = np.linalg.svd(factors, compute_uv=False).sum()
-        assert sol.converged
+        assert sol.converged and 0 < sol.iterations < sdp._MAX_ITER
         assert sol.primal == pytest.approx(want, rel=1e-7)
         assert sol.dual == pytest.approx(want, rel=1e-7)
         (W,) = sol.W
@@ -68,3 +68,14 @@ def test_bad_input_is_refused():
         sdp.solve(b, [block], np.zeros(4), np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError, match="strictly feasible"):
         sdp.solve(b, [block], np.full(4, 2.0), np.full(4, -1))
+
+
+def test_iterations_stop_at_the_budget(monkeypatch):
+    # Two steps cannot close the gap from a zero start: the solver reports
+    # both steps and the best of the three iterates, unconverged.
+    monkeypatch.setattr(sdp, "_MAX_ITER", 2)
+    gen = np.random.default_rng(5)
+    FA, FB = gen.standard_normal((2, 3, 3))
+    block, b = _lift(FA @ FA.T + 0.1 * np.eye(3), FB @ FB.T + 0.1 * np.eye(3))
+    sol = sdp.solve(b, [block], np.zeros(9), np.full(9, -1))
+    assert sol.iterations == 2 and not sol.converged

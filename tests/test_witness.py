@@ -13,6 +13,7 @@ from cvwitness.witness import (
     MissingErrorModel,
     SearchConfig,
     ZeroSigma,
+    _describe_witness,
     condition_E,
     confidence,
     genuine_search,
@@ -250,3 +251,17 @@ def test_reports_serialization(klev4, genuine_witness):
         WitnessPair(np.outer(h, h), np.outer(g, g)), klev4, bipartitions(4)[0]
     )
     assert "h=(" in reports_table([rank_one])
+
+
+@pytest.mark.parametrize("a, b", [(0.56, 0.41), (1.0, 0.3), (0.7, 0.2)])
+def test_rank_one_vectors_print_one_sign_when_entries_tie(a, b):
+    # (a, -a, b, b): the first two entries tie in magnitude, so a 1-ulp change
+    # in either must not decide which one prints positive.
+    texts = set()
+    for i in (0, 1):
+        for toward in (np.inf, -np.inf):
+            h = np.array([a, -a, b, b])
+            h[i] = np.nextafter(h[i], toward)
+            texts.add(_describe_witness(WitnessPair(np.outer(h, h), np.outer(h, h))))
+    v = f"({a:.2f}, {-a:.2f}, {b:.2f}, {b:.2f})"
+    assert texts == {f"h={v} g={v}"}

@@ -23,10 +23,8 @@ from .bounds import (
 )
 from .linalg import (
     NotPSD,
-    SingularGradient,
     alt_inequality_gap,
     quantum_bound,
-    quantum_bound_gradient,
     sqrt_psd,
     symplectic_spectrum,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "Partition",
     "PartitionError",
     "SearchConfig",
-    "SingularGradient",
     "StateFormatError",
     "Table1Row",
     "ViolationReport",
@@ -99,7 +96,6 @@ __all__ = [
     "parse_partition",
     "partial_transpose",
     "quantum_bound",
-    "quantum_bound_gradient",
     "random_rank_one_search",
     "rank_one_bound",
     "reports_table",

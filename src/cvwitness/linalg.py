@@ -1,5 +1,5 @@
 """Dense symmetric-matrix primitives: PSD square roots, symplectic spectra,
-the quantumness bound of a pair of matrices, and its analytic gradient.
+and the quantumness bound of a pair of matrices.
 
 All matrices are real, symmetric, dense, and small (n <= 32).  Units are the
 dimensionless ones used throughout the package: vacuum variance 1/2.
@@ -11,10 +11,6 @@ import numpy as np
 # Eigenvalues in [-PSD_TOL, 0) are treated as rounding noise and clipped to 0;
 # anything below -PSD_TOL is a genuine negativity.
 PSD_TOL = 1e-10
-
-# Minimum eigenvalue for which the gradient of the quantumness bound is
-# considered well defined; below this the inverse square root blows up.
-PD_FLOOR = 1e-12
 
 
 class NotPSD(ValueError):
@@ -28,20 +24,6 @@ class NotPSD(ValueError):
         super().__init__(
             f"{context} is not positive semidefinite: "
             f"min eigenvalue {min_eigenvalue:.3e} < -{PSD_TOL:.0e}"
-        )
-
-
-class SingularGradient(ValueError):
-    """Gradient of the quantumness bound is undefined for (near-)singular input.
-
-    Callers must regularize the input or fall back to finite differences.
-    """
-
-    def __init__(self, min_eigenvalue: float):
-        self.min_eigenvalue = float(min_eigenvalue)
-        super().__init__(
-            f"gradient undefined: min eigenvalue {min_eigenvalue:.3e} "
-            f"<= {PD_FLOOR:.0e}"
         )
 
 
@@ -92,37 +74,6 @@ def quantum_bound(X: np.ndarray, P: np.ndarray) -> float:
     # (sqrt(1e-15) ~ 3e-8); components 13 orders below the top are noise.
     inner[inner < 1e-13 * inner[-1]] = 0.0
     return float(np.sqrt(inner).sum())
-
-
-def _half(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # 1/2 sqrt(A) (sqrt(A) B sqrt(A))^{-1/2} sqrt(A), after checking the
-    # smallest eigenvalues of A and of sqrt(A) B sqrt(A) against PD_FLOOR.
-    wA, VA = np.linalg.eigh(A)
-    if wA[0] <= PD_FLOOR:
-        raise SingularGradient(wA[0])
-    sA = (VA * np.sqrt(wA)) @ VA.T
-    w, V = np.linalg.eigh(sA @ B @ sA)
-    if w[0] <= PD_FLOOR:
-        raise SingularGradient(w[0])
-    M = 0.5 * sA @ ((V / np.sqrt(w)) @ V.T) @ sA
-    return (M + M.T) / 2.0
-
-
-def quantum_bound_gradient(
-    X: np.ndarray, P: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of quantum_bound for strictly PD inputs.
-
-    dX = 1/2 sqrt(P) (sqrt(P) X sqrt(P))^{-1/2} sqrt(P) and symmetrically for
-    dP.  Entry (i, j) is the half-derivative along e_ij + e_ji; the directional
-    derivative along a symmetric direction D is <dX, D>. Raises
-    SingularGradient when an eigenvalue it takes a root of is <= PD_FLOOR.
-    """
-    X = symmetrize(X)
-    P = symmetrize(P)
-    if X.shape != P.shape:
-        raise ValueError(f"dimension mismatch: {X.shape} vs {P.shape}")
-    return _half(P, X), _half(X, P)
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:

@@ -338,7 +338,8 @@ def _lift(
     sigma(X, P) <= 1 (an arrow LMI) and sum_b tr Y_Ib - G >= t for every cut
     I of the copy. The score is scale invariant, so t is the best min_I s_I
     if that is positive; else t = 0 and the witness only shows s <= 0. Each
-    cut's Y, or each copy of its own, is one group of the solver.
+    cut's Y, or each copy of its own, is one group of the solver. Score mode
+    raises ZeroSigma before solving when every sigma entry is 0.
     """
     n = s.n
     iu = np.triu_indices(n)
@@ -351,6 +352,8 @@ def _lift(
     if score:
         _require_model(s)
         sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
+        if not np.any(sd):  # sigma(X, P) = 0 for every witness: s is undefined
+            raise ZeroSigma("every sigma entry is 0; violation score undefined")
         eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
     else:
         trace = float(gam @ diag)  # tr gxx + tr gpp

@@ -1,10 +1,12 @@
-"""Shared fixtures: builtin states and the four-mode reference witness."""
+"""Shared fixtures: builtin states, the four-mode reference witness, and
+the one-block lift with the two oracles for its dual matrix."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from cvwitness import WitnessPair, builtin_state
+from cvwitness import WitnessPair, builtin_state, sdp
+from cvwitness.linalg import sqrt_psd
 from cvwitness.states import GENUINE_P, GENUINE_X
 
 # Reference optima: per bipartition, the attained bound and the freed entries
@@ -82,3 +84,53 @@ def printed_certificates():
         text: (value, _edited(GENUINE_X, ex), _edited(GENUINE_P, ep))
         for text, (value, ex, ep) in CERTIFICATE_EDITS.items()
     }
+
+
+def _lift(A: np.ndarray, B: np.ndarray) -> tuple[sdp.Block, np.ndarray]:
+    # Y is the only variable: y[a*k + e] sits at (a, k + e); b picks tr Y.
+    k = len(A)
+    a, e = np.divmod(np.arange(k * k), k)
+    F0 = np.block([[A, np.zeros((k, k))], [np.zeros((k, k)), B]])
+    return sdp.Block(F0, np.arange(k * k), a, k + e, np.ones(k * k)), (a == e) * 1.0
+
+
+def _dual_gradient(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The dual objective of the lift is <W_XX, X> + <W_PP, P>, so at the
+    # optimum its diagonal blocks are dB/dX and dB/dP (X, P positive definite).
+    k = len(X)
+    block, b = _lift(np.asarray(X, float), np.asarray(P, float))
+    sol = sdp.solve(b, [block], np.zeros(k * k), np.full(k * k, -1))
+    assert sol.converged
+    (W,) = sol.W
+    return W[:k, :k], W[k:, k:]
+
+
+def _closed_form_gradient(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # dB/dX = 1/2 sqrt(P) (sqrt(P) X sqrt(P))^{-1/2} sqrt(P), and dB/dP with X
+    # and P swapped, for X and P positive definite.
+    def half(A, B):
+        sA = sqrt_psd(A)
+        w, V = np.linalg.eigh(sA @ B @ sA)
+        M = 0.5 * sA @ ((V / np.sqrt(w)) @ V.T) @ sA
+        return (M + M.T) / 2.0
+
+    X, P = np.asarray(X, float), np.asarray(P, float)
+    return half(P, X), half(X, P)
+
+
+@pytest.fixture(scope="session")
+def lift():
+    """(A, B) -> (block, b) of max{tr Y : [[A, Y], [Y^T, B]] PSD} = B(A, B)."""
+    return _lift
+
+
+@pytest.fixture(scope="session")
+def dual_gradient():
+    """(X, P) -> (W_XX, W_PP), the diagonal blocks of the lift's optimal dual."""
+    return _dual_gradient
+
+
+@pytest.fixture(scope="session")
+def closed_form_gradient():
+    """(X, P) -> (dB/dX, dB/dP) in closed form, a second oracle for the dual."""
+    return _closed_form_gradient

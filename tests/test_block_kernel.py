@@ -1,5 +1,6 @@
 """Per-block bound kernel: quantum_bound values, exactness and input checks,
-the partition bound as a sum of its blocks, and the one-matrix gradient.
+the partition bound as a sum of its blocks, and its derivative as the dual
+matrix of the one-block lift (conftest.py).
 
 The oracles share no code with the kernel: B(X, P) = ||F_X^T F_P||_* for any
 factors X = F_X F_X^T, P = F_P F_P^T (an SVD of a small product), the 1x1
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from cvwitness.bounds import WitnessPair, block_indices, separability_bound
-from cvwitness.linalg import NotPSD, quantum_bound, quantum_bound_gradient
+from cvwitness import sdp
+from cvwitness.linalg import NotPSD, quantum_bound
 from cvwitness.partitions import Partition, all_partitions
 
 
@@ -84,28 +86,40 @@ def test_partition_bound_equals_sum_of_block_calls_exactly():
             assert separability_bound(w, p).value == want, p.text
 
 
-def test_one_by_one_gradient_closed_form():
+def test_one_by_one_gradient_closed_form(dual_gradient, closed_form_gradient):
+    # The closed form meets the 1x1 forms to 1e-12, the dual to the solver's
+    # acceptance level.
     gen = np.random.default_rng(13)
     x = gen.uniform(0.05, 4.0, 40)
     p = gen.uniform(0.05, 4.0, 40)
     for a, b in zip(x, p):
-        (dX,), (dP,) = quantum_bound_gradient([[a]], [[b]])
-        assert dX == pytest.approx(0.5 * np.sqrt(b / a), rel=1e-12)
-        assert dP == pytest.approx(0.5 * np.sqrt(a / b), rel=1e-12)
+        wX, wP = 0.5 * np.sqrt(b / a), 0.5 * np.sqrt(a / b)
+        (cX,), (cP,) = closed_form_gradient([[a]], [[b]])
+        assert cX == pytest.approx(wX, rel=1e-12)
+        assert cP == pytest.approx(wP, rel=1e-12)
+        tol = sdp._ACCEPT * (1 + np.sqrt(a * b))
+        (dX,), (dP,) = dual_gradient([[a]], [[b]])
+        assert dX == pytest.approx(wX, rel=0, abs=tol)
+        assert dP == pytest.approx(wP, rel=0, abs=tol)
     assert [quantum_bound([[a]], [[b]]) for a, b in zip(x, p)] == pytest.approx(
         np.sqrt(x * p), rel=1e-14
     )
     # Commuting diagonal pairs: the gradient is the diagonal of 1x1 forms.
     d, e = gen.uniform(0.2, 3.0, (2, 5))
-    gX, gP = quantum_bound_gradient(np.diag(d), np.diag(e))
-    assert gX == pytest.approx(np.diag(0.5 * np.sqrt(e / d)), rel=1e-12, abs=1e-15)
-    assert gP == pytest.approx(np.diag(0.5 * np.sqrt(d / e)), rel=1e-12, abs=1e-15)
+    wX, wP = np.diag(0.5 * np.sqrt(e / d)), np.diag(0.5 * np.sqrt(d / e))
+    cX, cP = closed_form_gradient(np.diag(d), np.diag(e))
+    assert cX == pytest.approx(wX, rel=1e-12, abs=1e-15)
+    assert cP == pytest.approx(wP, rel=1e-12, abs=1e-15)
+    tol = sdp._ACCEPT * (1 + np.sqrt(d * e).sum())
+    gX, gP = dual_gradient(np.diag(d), np.diag(e))
+    assert gX == pytest.approx(wX, rel=0, abs=tol)
+    assert gP == pytest.approx(wP, rel=0, abs=tol)
 
 
-def test_gradients_match_finite_differences_of_oracle():
+def test_gradients_match_finite_differences_of_oracle(dual_gradient):
     # X and P are PD here, so Cholesky factors feed the oracle at every
     # perturbed point. B_I is a sum of per-block bounds, so its gradient is
-    # the block-diagonal assembly of quantum_bound_gradient per block.
+    # the block-diagonal assembly of the lift's dual matrices per block.
     gen = np.random.default_rng(17)
     t = 1e-6
     for n in (2, 3, 4, 5):
@@ -115,7 +129,7 @@ def test_gradients_match_finite_differences_of_oracle():
             gX, gP = np.zeros((n, n)), np.zeros((n, n))
             for idx in block_indices(p):
                 ix = np.ix_(idx, idx)
-                gX[ix], gP[ix] = quantum_bound_gradient(X[ix], P[ix])
+                gX[ix], gP[ix] = dual_gradient(X[ix], P[ix])
             D = gen.standard_normal((n, n))
             D = D + D.T
 

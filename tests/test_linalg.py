@@ -1,15 +1,19 @@
-"""Matrix kernel: square roots, the quantumness bound, and its gradient."""
+"""Matrix kernel: square roots and the quantumness bound.
+
+The derivative of B is the dual matrix of the one-block lift (conftest.py),
+checked against finite differences of quantum_bound and against the closed
+form.
+"""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from cvwitness import sdp
 from cvwitness.linalg import (
     NotPSD,
-    SingularGradient,
     alt_inequality_gap,
     quantum_bound,
-    quantum_bound_gradient,
     sqrt_psd,
     symmetrize,
     symplectic_spectrum,
@@ -118,14 +122,14 @@ def test_quantum_bound_rejects_non_psd():
         quantum_bound(np.diag([1.0, -1e-6]), np.eye(2))
 
 
-def test_gradient_matches_directional_finite_differences():
+def test_gradient_matches_directional_finite_differences(dual_gradient):
     gen = np.random.default_rng(29)
     t = 1e-6
     for _ in range(60):
         n = int(gen.integers(1, 6))
         X = _psd(gen, n, 0.5)
         P = _psd(gen, n, 0.5)
-        gX, gP = quantum_bound_gradient(X, P)
+        gX, gP = dual_gradient(X, P)
         D = symmetrize(gen.standard_normal((n, n)))
         E = symmetrize(gen.standard_normal((n, n)))
         fd_x = (quantum_bound(X + t * D, P) - quantum_bound(X - t * D, P)) / (2 * t)
@@ -134,21 +138,24 @@ def test_gradient_matches_directional_finite_differences():
         assert fd_p == pytest.approx(float(np.sum(gP * E)), rel=1e-5, abs=1e-6)
 
 
-def test_gradient_euler_identity():
-    # sqrt(ab)-homogeneity forces <gX, X> = <gP, P> = B/2.
+def test_gradient_euler_identity(dual_gradient, closed_form_gradient):
+    # sqrt(ab)-homogeneity forces <gX, X> = <gP, P> = B/2: to 1e-8 for the
+    # closed form, to the solver's acceptance level for the dual, which also
+    # matches the closed form entry by entry.
     gen = np.random.default_rng(31)
     for _ in range(20):
         n = int(gen.integers(1, 6))
         X, P = _psd(gen, n, 0.3), _psd(gen, n, 0.3)
         B = quantum_bound(X, P)
-        gX, gP = quantum_bound_gradient(X, P)
-        assert float(np.sum(gX * X)) == pytest.approx(B / 2, rel=1e-8)
-        assert float(np.sum(gP * P)) == pytest.approx(B / 2, rel=1e-8)
-
-
-def test_gradient_rejects_singular_input():
-    with pytest.raises(SingularGradient):
-        quantum_bound_gradient(np.diag([1.0, 0.0]), np.eye(2))
+        tol = sdp._ACCEPT * (1 + B)
+        cX, cP = closed_form_gradient(X, P)
+        assert float(np.sum(cX * X)) == pytest.approx(B / 2, rel=1e-8)
+        assert float(np.sum(cP * P)) == pytest.approx(B / 2, rel=1e-8)
+        gX, gP = dual_gradient(X, P)
+        assert float(np.sum(gX * X)) == pytest.approx(B / 2, abs=tol)
+        assert float(np.sum(gP * P)) == pytest.approx(B / 2, abs=tol)
+        assert gX == pytest.approx(cX, abs=tol)
+        assert gP == pytest.approx(cP, abs=tol)
 
 
 def test_symplectic_spectrum_vacuum_and_squeezed():

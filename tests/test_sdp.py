@@ -2,32 +2,26 @@
 
 Oracles: the nuclear norm ||F_A^T F_B||_* of Cholesky factors for the lift of
 one block, max{tr Y : [[A, Y], [Y^T, B]] PSD}, whose dual matrix has the
-fixed off-diagonal block -I/2; and a two-variable linear program solved by
-hand.
+fixed off-diagonal block -I/2; a two-variable linear program solved by hand;
+and, for the witness programs, the dual conditions on W evaluated from dense
+F_ji built in the test.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from cvwitness import sdp
-
-
-def _lift(A: np.ndarray, B: np.ndarray) -> tuple[sdp.Block, np.ndarray]:
-    # Y is the only variable: y[a*k + e] sits at (a, k + e); b picks tr Y.
-    k = len(A)
-    a, e = np.divmod(np.arange(k * k), k)
-    F0 = np.block([[A, np.zeros((k, k))], [np.zeros((k, k)), B]])
-    return sdp.Block(F0, np.arange(k * k), a, k + e, np.ones(k * k)), (a == e) * 1.0
+from cvwitness import SearchConfig, genuine_search, optimize_witness, sdp
+from cvwitness.partitions import bipartitions
 
 
 @pytest.mark.parametrize("label", [-1, 0])
-def test_lift_of_one_block_is_the_nuclear_norm(label):
+def test_lift_of_one_block_is_the_nuclear_norm(label, lift):
     gen = np.random.default_rng(5)
     for k in (1, 2, 3, 5):
         FA, FB = gen.standard_normal((2, k, k))
         A, B = FA @ FA.T + 0.1 * np.eye(k), FB @ FB.T + 0.1 * np.eye(k)
-        block, b = _lift(A, B)
+        block, b = lift(A, B)
         sol = sdp.solve(b, [block], np.zeros(k * k), np.full(k * k, label))
         factors = np.linalg.cholesky(A).T @ np.linalg.cholesky(B)
         want = np.linalg.svd(factors, compute_uv=False).sum()
@@ -62,20 +56,59 @@ def test_linear_program(group):
     assert all(W.shape == (1, 1) and W[0, 0] > -1e-12 for W in sol.W)
 
 
-def test_bad_input_is_refused():
-    block, b = _lift(np.eye(2), np.eye(2))
+def test_bad_input_is_refused(lift):
+    block, b = lift(np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="groups"):
         sdp.solve(b, [block], np.zeros(4), np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError, match="strictly feasible"):
         sdp.solve(b, [block], np.full(4, 2.0), np.full(4, -1))
 
 
-def test_iterations_stop_at_the_budget(monkeypatch):
+def test_iterations_stop_at_the_budget(monkeypatch, lift):
     # Two steps cannot close the gap from a zero start: the solver reports
     # both steps and the best of the three iterates, unconverged.
     monkeypatch.setattr(sdp, "_MAX_ITER", 2)
     gen = np.random.default_rng(5)
     FA, FB = gen.standard_normal((2, 3, 3))
-    block, b = _lift(FA @ FA.T + 0.1 * np.eye(3), FB @ FB.T + 0.1 * np.eye(3))
+    block, b = lift(FA @ FA.T + 0.1 * np.eye(3), FB @ FB.T + 0.1 * np.eye(3))
     sol = sdp.solve(b, [block], np.zeros(9), np.full(9, -1))
     assert sol.iterations == 2 and not sol.converged
+
+
+def _dense(block: sdp.Block, m: int) -> np.ndarray:
+    # F_i for every variable i, each term at (row, col) and at (col, row).
+    d = block.F0.shape[0]
+    F = np.zeros((m, d, d))
+    np.add.at(F, (block.var, block.row, block.col), block.coef)
+    off = block.row != block.col
+    np.add.at(F, (block.var[off], block.col[off], block.row[off]), block.coef[off])
+    return F
+
+
+def test_solution_W_is_a_dual_point_of_the_witness_programs(monkeypatch, klev4, ppt4):
+    # The genuine program, margin mode over every ppt4 cut, and score mode
+    # per klev4 cut: each returned W is PSD, nearly dual feasible and has
+    # the dual objective the solver reports.
+    runs, solve = [], sdp.solve
+
+    def spy(b, blocks, y0, group):
+        sol = solve(b, blocks, y0, group)
+        runs.append((b, blocks, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    genuine_search(klev4, SearchConfig(s_level=4.0))
+    optimize_witness(ppt4, bipartitions(4), SearchConfig(s_level=0.0), no_error=True)
+    optimize_witness(klev4, bipartitions(4))
+    assert len(runs) == 3
+    for b, blocks, sol in runs:
+        assert sol.converged and len(sol.W) == len(blocks)
+        adjoint, dual = np.zeros(b.size), 0.0
+        for block, W in zip(blocks, sol.W):
+            low, high = np.linalg.eigvalsh(W)[[0, -1]]
+            assert low >= -len(W) * np.finfo(float).eps * high  # eigvalsh rounding
+            adjoint += np.einsum("ijk,jk->i", _dense(block, b.size), W)
+            dual += float(np.sum(block.F0 * W))
+        residual = np.linalg.norm(adjoint + b) / (1 + np.linalg.norm(b))
+        assert residual <= sdp._ACCEPT
+        assert dual == pytest.approx(sol.dual, rel=1e-12)

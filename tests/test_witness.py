@@ -97,6 +97,17 @@ def test_violation_score_zero_sigma():
         violation_score(WitnessPair(np.eye(2), np.eye(2)), s, Partition.trivial(2))
 
 
+def test_score_mode_refuses_an_all_zero_error_model(klev4):
+    # With every sigma at 0 the score-mode SDP is unbounded; both solver
+    # searches must refuse it before solving, not overflow inside it.
+    zero = np.zeros((4, 4))
+    s = make_state(klev4.gamma_xx, klev4.gamma_pp, zero, zero)
+    with pytest.raises(ZeroSigma):
+        optimize_witness(s, parse_partition("1|234", 4))
+    with pytest.raises(ZeroSigma):
+        genuine_search(s)
+
+
 def test_min_violation_across_bipartitions(klev4, genuine_witness):
     scores = [
         violation_score(genuine_witness, klev4, p).s for p in bipartitions(4)

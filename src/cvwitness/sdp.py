@@ -3,7 +3,7 @@
     maximize    b.y
     subject to  Z_j(y) = F_j0 + sum_i y_i F_ji  PSD, for every block j.
 
-A linear inequality is a 1x1 block. The dual problem is
+The dual problem is
 
     minimize    sum_j tr(F_j0 W_j)
     subject to  sum_j tr(F_ji W_j) = -b_i,  W_j PSD,
@@ -22,13 +22,18 @@ steps the iterates are poorly centred, and a smaller exponent centres them
 more, so the next steps are long again. Each Newton system is solved once
 and refined by one step against the Schur complement itself.
 
+W, Z, their steps and the corrector are flat vectors: first the 1x1 blocks
+(linear inequalities) as one linear cone z = F0 + A y >= 0, where all is
+elementwise and the Schur complement gains A^T diag(w/z) A; then the other
+blocks, stacked by size and read through fixed (count, d, d) views.
+
 Each F_ji is sparse: a block lists terms (i, row, col, coef), each putting
 coef*y_i at (row, col) and (col, row), once on the diagonal. Each variable
 carries a group label: variables of group k >= 0 may share blocks with the
 shared variables (label -1) but with no variable of another group. The Schur
-complement is assembled from pairs of terms, and each group is eliminated on
-its own before the shared variables, so the work per iteration is linear in
-the number of groups.
+complement of the matrix blocks is assembled from pairs of terms, and each
+group is eliminated on its own before the shared variables, so the work per
+iteration is linear in the number of groups.
 """
 from __future__ import annotations
 
@@ -73,7 +78,7 @@ class Solution:
 
 
 def _mT(A: np.ndarray) -> np.ndarray:
-    return A.transpose(0, 2, 1)
+    return A.swapaxes(-1, -2)
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -81,18 +86,21 @@ def _sym(A: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """The blocks stacked by size into one flat vector, with the index arrays
-    that map y to Z(y), W to F*(W), and (W, Z^-1) to the Schur complement."""
+    """The blocks in one flat vector, the l 1x1 blocks first, then the rest
+    stacked by size; with the index arrays that map y to Z(y), W to F*(W),
+    and (W, Z^-1) to the Schur complement."""
 
     def __init__(self, blocks: list[Block], group: np.ndarray):
         m = group.size
         self.order = sorted(range(len(blocks)), key=lambda j: blocks[j].F0.shape[0])
         ordered = [blocks[j] for j in self.order]
         dims = np.array([blk.F0.shape[0] for blk in ordered])
-        sizes, counts = np.unique(dims, return_counts=True)
-        self.shapes = list(zip(counts.tolist(), sizes.tolist()))
-        self.cuts = np.cumsum(counts * sizes**2)[:-1]
         base = np.cumsum(dims**2) - dims**2
+        sizes, counts = np.unique(dims, return_counts=True)
+        shapes = zip(base[np.searchsorted(dims, sizes)].tolist(), counts.tolist(), sizes)
+        self.spans = [(a, a + g * d * d, (g, d, d)) for a, g, d in shapes if d > 1]
+        self.l = l = int(np.sum(dims == 1))
+        self.N = int(dims.sum())  # sum_j tr(W_j Z_j) / N is mu
         self.F0 = np.concatenate([np.ravel(blk.F0) for blk in ordered]).astype(float)
         self.size, self.m = int((dims**2).sum()), m
         blk = np.repeat(np.arange(len(ordered)), [b.var.size for b in ordered])
@@ -101,14 +109,39 @@ class _Problem:
             for f in ("var", "row", "col", "coef")
         )
         keep = coef != 0
-        blk, v, r, c = blk[keep], v[keep], r[keep], c[keep]
-        h = coef[keep] * np.where(r == c, 0.5, 1.0)
+        blk, v, r, c, coef = blk[keep], v[keep], r[keep], c[keep], coef[keep]
+        h = coef * np.where(r == c, 0.5, 1.0)
         d, o = dims[blk], base[blk]
         self.at = np.concatenate([o + r * d + c, o + c * d + r])
         self.var, self.hc = np.concatenate([v, v]), np.concatenate([h, h])
+        top = np.full(dims.size, -1)  # each block's group, -1 if none
+        np.maximum.at(top, blk, group[v])
+        if np.any((group[v] >= 0) & (group[v] != top[blk])):
+            raise ValueError("two variable groups share a block")
+        shared = np.flatnonzero(group < 0)
+        counts = np.bincount(group[group >= 0])
+        K, k, s = counts.size, int(counts.max(initial=0)), shared.size
+        pos = np.zeros(m, dtype=int)
+        pos[shared] = np.arange(s)
+        local = np.full((K, k), m)  # padding points past the end of y
+        rg = top[:l]  # the group of each row of the linear cone
+        self.rows = np.full((K, np.bincount(rg[rg >= 0]).max(initial=0)), l)
+        for g in range(K):
+            mine = np.flatnonzero(group == g)
+            pos[mine] = np.arange(mine.size)
+            local[g, : mine.size] = mine
+            mine = np.flatnonzero(rg == g)
+            self.rows[g, : mine.size] = mine
+        # The linear cone's rows A, dense over a group's k variables and then
+        # the s shared ones: Ar holds each group's rows, padded with row l = 0.
+        A, cone = np.zeros((l + 1, k + s)), blk < l
+        at = (blk[cone], np.where(group[v] >= 0, pos[v], k + pos[v])[cone])
+        np.add.at(A, at, coef[cone])
+        self.Ar, self.As = A[self.rows], A[:l, k:]
         # tr(T_p W T_q Z^-1) for T = h (E_ab + E_ba) is the sum of four
         # products W_xy Zi_uv, gathered for every pair (p, q) of terms of
-        # one block.
+        # one matrix block.
+        blk, v, r, c, h, d, o = (x[~cone] for x in (blk, v, r, c, h, d, o))
         per_block = np.bincount(blk, minlength=dims.size)
         n_of = per_block[blk]
         p = np.repeat(np.arange(blk.size), n_of)
@@ -120,19 +153,7 @@ class _Problem:
         w, vp, vq = h[p] * h[q], v[p], v[q]
         # Where each pair lands: the shared block S, a group's own block H,
         # or the coupling E of a group's variables to the shared ones.
-        shared = np.flatnonzero(group < 0)
-        counts = np.bincount(group[group >= 0])
-        K, k, s = counts.size, int(counts.max(initial=0)), shared.size
-        pos = np.zeros(m, dtype=int)
-        pos[shared] = np.arange(s)
-        local = np.full((K, k), m)  # padding points past the end of y
-        for g in range(K):
-            mine = np.flatnonzero(group == g)
-            pos[mine] = np.arange(mine.size)
-            local[g, : mine.size] = mine
         gp, gq = group[vp], group[vq]
-        if np.any((gp >= 0) & (gq >= 0) & (gp != gq)):
-            raise ValueError("two variable groups share a block")
         self.offsets = (K * k * k, K * k * k + K * k * s)
         row = gp * k + pos[vp]  # a group variable's row in H or E
         in_group = np.where(gq < 0, self.offsets[0] + row * s, row * k)
@@ -143,38 +164,41 @@ class _Problem:
         self.shared, self.local = shared, local
         self.pad = np.eye(k) * (local == m)[:, None, :]  # unit diagonal on padding
 
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        parts = np.split(flat, self.cuts)
-        return [a.reshape(g, d, d) for a, (g, d) in zip(parts, self.shapes)]
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The blocks past the linear cone of flat (..., size), one view per size."""
+        return [flat[..., a:b].reshape(flat.shape[:-1] + gdd) for a, b, gdd in self.spans]
 
     def lin(self, y: np.ndarray) -> np.ndarray:
         """Flat sum_i y_i F_i over every block."""
         return np.bincount(self.at, self.hc * y[self.var], self.size)
 
-    def adjoint(self, W: list[np.ndarray]) -> np.ndarray:
-        """F*(W)_i = sum_j tr(F_ji W_j)."""
-        flat = np.concatenate([A.ravel() for A in W])
-        return np.bincount(self.var, self.hc * flat[self.at], self.m)
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        """F*(W)_i = sum_j tr(F_ji W_j), for a flat W."""
+        return np.bincount(self.var, self.hc * W[self.at], self.m)
 
-    def schur(self, W: list[np.ndarray], Zi: list[np.ndarray]):
+    def schur(self, W: np.ndarray, Zi: np.ndarray):
         """Factor M_pq = sum_j tr(F_jp W_j F_jq Z_j^-1) and return its solver.
 
         M = [[H, E], [E^T, S]], H block diagonal over the groups, is solved
         through the Cholesky factors of H and of S - E^T H^-1 E, with one
-        step of iterative refinement against M itself.
+        step of iterative refinement against M itself. W and Zi are flat.
         """
-        wf = np.concatenate([A.ravel() for A in W])
-        zf = np.concatenate([A.ravel() for A in Zi])
-        vals = self.w * np.einsum("ij,ij->j", wf[self.wi], zf[self.zi])
-        K, k, s = self.K, self.k, self.s
-        M = np.bincount(self.dest, vals, self.offsets[1] + s * s)
+        vals = self.w * np.einsum("ij,ij->j", W[self.wi], Zi[self.zi])
+        K, k, s, l = self.K, self.k, self.s, self.l
+        M = np.bincount(self.dest, vals, self.offsets[1] + s * s).astype(float, copy=False)
         H = M[: self.offsets[0]].reshape(K, k, k) + self.pad
         E = M[self.offsets[0] : self.offsets[1]].reshape(K, k, s)
         S = M[self.offsets[1] :].reshape(s, s)
+        dz = np.append(W[:l] * Zi[:l], 0.0)  # the linear cone: A^T diag(w/z) A
+        HE = _mT(self.Ar[..., :k]) @ (dz[self.rows, None] * self.Ar)
+        H += HE[..., :k]
+        E += HE[..., k:]
+        S += self.As.T @ (dz[:l, None] * self.As)
         Li = _inv_chol(H)
         LiE = Li @ E
         HiE = _mT(Li) @ LiE
-        Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE))
+        # With no shared variable (margin mode) there is nothing to eliminate.
+        Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE)) if s else S
 
         def once(r: np.ndarray) -> np.ndarray:
             ext = np.append(r, 0.0)
@@ -208,21 +232,6 @@ def _inv_chol(A: np.ndarray) -> np.ndarray:
         return np.linalg.inv(np.linalg.cholesky(A))
 
 
-def _factor(W: list[np.ndarray], Z: list[np.ndarray]) -> list[np.ndarray]:
-    """_inv_chol of every W and Z matrix, stacked per size as [W; Z]."""
-    return [_inv_chol(np.concatenate(AB)) for AB in zip(W, Z)]
-
-
-def _steps(L: list[np.ndarray], dW: list[np.ndarray], dZ: list[np.ndarray]):
-    """_STEP times the largest a <= 1/_STEP that keeps W + a dW PSD, and the
-    same for Z + a dZ, each capped at 1; L as _factor returns it."""
-    lows = []
-    for Li, A, B in zip(L, dW, dZ):
-        low = np.linalg.eigvalsh(Li @ np.concatenate([A, B]) @ _mT(Li))[:, 0]
-        lows.append((low[: len(A)].min(), low[len(A) :].min()))
-    return tuple(1.0 if x >= 0 else min(1.0, -_STEP / x) for x in np.min(lows, axis=0))
-
-
 def solve(
     b: np.ndarray, blocks: list[Block], y0: np.ndarray, group: np.ndarray
 ) -> Solution:
@@ -232,57 +241,86 @@ def solve(
     when y0 is not strictly feasible.
     """
     prob = _Problem(blocks, np.asarray(group))
-    N = sum(g * d for g, d in prob.shapes)
+    l = prob.l
     y = np.asarray(y0, dtype=float).copy()
-    Z = prob.split(prob.F0 + prob.lin(y))
+    # Flat iterates: WZ = [W; Z], D = [dW; dZ], Z^-1 and the corrector C.
+    (WZ, D), (Zi, C) = np.zeros((2, 2, prob.size)), np.zeros((2, prob.size))
+    (W, Z), (dW, dZ) = WZ, D
+    mats = list(zip(*map(prob.views, (WZ, D, Zi, C))))
+
+    def factor() -> list[np.ndarray]:
+        """_inv_chol of each size's [W; Z] stack, once w > 0 and z > 0."""
+        if not np.all(WZ[:, :l] > 0):
+            raise np.linalg.LinAlgError
+        return [_inv_chol(WZj) for WZj, *_ in mats]
+
+    def direction(newton, r: np.ndarray) -> np.ndarray:
+        """dy = M^-1 r, dZ = F(dy) and dW = sym(C) - W - sym(W dZ Z^-1), into D."""
+        dy = newton(r)
+        dZ[:] = prob.lin(dy)
+        dW[:l] = C[:l] - W[:l] * (1.0 + dZ[:l] * Zi[:l])
+        for WZj, Dj, Zj, Cj in mats:
+            Dj[0] = _sym(Cj) - WZj[0] - _sym(WZj[0] @ Dj[1] @ Zj)
+        return dy
+
+    def steps(L: list[np.ndarray]) -> tuple[float, float]:
+        """_STEP times the largest a <= 1/_STEP that keeps W + a dW PSD, and the
+        same for Z + a dZ, each capped at 1."""
+        low = np.min(D[:, :l] / WZ[:, :l], axis=1, initial=np.inf)
+        for Li, (_, Dj, _, _) in zip(L, mats):
+            low = np.minimum(low, np.linalg.eigvalsh(Li @ Dj @ _mT(Li))[..., 0].min(1))
+        return tuple(1.0 if x >= 0 else min(1.0, -_STEP / x) for x in low)
+
+    Z[:] = prob.F0 + prob.lin(y)
+    W[:l] = 1.0 / np.where(Z[:l] > 0, Z[:l], np.inf)  # w = 0 where z <= 0: refused
     try:
-        W = [_sym(np.linalg.inv(A)) for A in Z]
-        L = _factor(W, Z)
+        for WZj, *_ in mats:
+            WZj[0] = _sym(np.linalg.inv(WZj[1]))
+        L = factor()
     except np.linalg.LinAlgError:
         raise ValueError("the starting point is not strictly feasible") from None
     best, stall, moved = None, 0, True
     for it in range(_MAX_ITER + 1):
-        Zi = [_mT(A[len(A) // 2 :]) @ A[len(A) // 2 :] for A in L]
-        primal = float(b @ y)
-        dual = float(prob.F0 @ np.concatenate([A.ravel() for A in W]))
+        primal, dual = float(b @ y), float(prob.F0 @ W)
         rp = b + prob.adjoint(W)
         gap = abs(dual - primal) / (1 + abs(primal))
         err = max(gap, float(np.linalg.norm(rp) / (1 + np.linalg.norm(b))))
         if best is None or err < best[0]:
-            best, stall = (err, y, W, primal, dual), 0
+            best, stall = (err, y, W.copy(), primal, dual), 0
         else:
             stall += 1
         stop = err <= _TOL or (best[0] <= _ACCEPT and stall == _STALL)
         if stop or not moved or it == _MAX_ITER:
             break
         try:
+            Zi[:l] = 1.0 / Z[:l]
+            for Li, (_, _, Zj, _) in zip(L, mats):
+                np.matmul(_mT(Li[1]), Li[1], out=Zj)
             newton = prob.schur(W, Zi)
-            mu = sum(float(np.sum(A * B)) for A, B in zip(W, Z)) / N
+            mu = float(W @ Z) / prob.N
 
             # Predictor: the affine-scaling direction.
-            dy = newton(b)
-            dZ = prob.split(prob.lin(dy))
-            dW = [-A - _sym(A @ D @ Q) for A, D, Q in zip(W, dZ, Zi)]
-            ap, ad = _steps(L, dW, dZ)
-            pairs = zip(W, dW, Z, dZ)
-            mu_a = sum(np.sum((A + ap * dA) * (B + ad * dB)) for A, dA, B, dB in pairs)
+            C[:] = 0.0
+            direction(newton, b)
+            ap, ad = steps(L)
+            mu_a = float((W + ap * dW) @ (Z + ad * dZ)) / prob.N
             expon = max(1.0, 3.0 * min(ap, ad) ** 2)
-            sigma = min(1.0, max(0.0, float(mu_a) / N / mu)) ** expon
+            sigma = min(1.0, max(0.0, mu_a / mu)) ** expon
 
             # Corrector: centering plus the second-order term.
-            corr = [sigma * mu * Q - dA @ dB @ Q for Q, dA, dB in zip(Zi, dW, dZ)]
-            dy = newton(b + prob.adjoint(corr))
-            dZ = prob.split(prob.lin(dy))
-            dW = [_sym(C) - A - _sym(A @ D @ Q) for C, A, D, Q in zip(corr, W, dZ, Zi)]
-            ap, ad = _steps(L, dW, dZ)
+            C[:l] = (sigma * mu - dW[:l] * dZ[:l]) * Zi[:l]
+            for _, Dj, Zj, Cj in mats:
+                Cj[...] = sigma * mu * Zj - Dj[0] @ Dj[1] @ Zj
+            dy = direction(newton, b + prob.adjoint(C))
+            ap, ad = steps(L)
             y_new = y + ad * dy
-            Z_new = prob.split(prob.F0 + prob.lin(y_new))
-            W_new = [A + ap * dA for A, dA in zip(W, dW)]
-            L = _factor(W_new, Z_new)
+            W += ap * dW
+            Z[:] = prob.F0 + prob.lin(y_new)
+            L = factor()
         except np.linalg.LinAlgError:
             break  # numerical breakdown: keep the best iterate
-        y, Z, W, moved = y_new, Z_new, W_new, max(ap, ad) > 1e-12
+        y, moved = y_new, max(ap, ad) > 1e-12
     err, y, W, primal, dual = best
     back = np.argsort(prob.order)
-    W = [A for stack in W for A in stack]
+    W = list(W[:l].reshape(l, 1, 1)) + [A for Wj in prob.views(W) for A in Wj]
     return Solution(y, [W[i] for i in back], primal, dual, err <= _ACCEPT, it)

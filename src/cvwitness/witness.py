@@ -86,11 +86,14 @@ class SearchConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
-def _require_model(s: CVState) -> None:
+def _require_model(s: CVState, score: bool = False) -> None:
+    """Refuse a state without an error model, or with score=True an all-zero one."""
     if not s.has_error_model:
         raise MissingErrorModel(
             f"state {s.label or '<unnamed>'} has no sigma_xx/sigma_pp blocks"
         )
+    if score and not (np.any(s.sigma_xx) or np.any(s.sigma_pp)):
+        raise ZeroSigma("every sigma entry is 0; violation score undefined")
 
 
 def measurement_sigma(w: WitnessPair, s: CVState) -> float:
@@ -242,7 +245,8 @@ def random_rank_one_search(
     trial index on ties, so the result is identical for any thread count.
     Each winner is rescored through separability_bound. With no_error=True
     the error model is ignored and trials are ranked by the raw margin
-    B_I - G, each sigma set to 1, instead of the significance level.
+    B_I - G, each sigma set to 1, instead of the significance level;
+    otherwise a state whose sigma entries are all 0 raises ZeroSigma at once.
 
     A partition is scored only on the trials whose bound u_t, the score with
     S_t = sum_i |h_i g_i| (1 + 1e-12) in place of B_I (_trial_bound), reaches
@@ -256,7 +260,7 @@ def random_rank_one_search(
     trials scored, which stay in index order for ties.
     """
     if not no_error:
-        _require_model(s)
+        _require_model(s, score=True)
     parts = _partition_list(s, p)
     n = s.n
     batches = range((cfg.trials + _BATCH - 1) // _BATCH)
@@ -350,10 +354,8 @@ def _lift(
     gam = twice * np.concatenate([s.gamma_xx[iu], s.gamma_pp[iu]])
     diag = (twice == 1.0) * 1.0
     if score:
-        _require_model(s)
+        _require_model(s, score=True)
         sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
-        if not np.any(sd):  # sigma(X, P) = 0 for every witness: s is undefined
-            raise ZeroSigma("every sigma entry is 0; violation score undefined")
         eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
     else:
         trace = float(gam @ diag)  # tr gxx + tr gpp

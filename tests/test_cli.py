@@ -23,6 +23,18 @@ def run(capsys, *argv: str):
     return code, captured.out, captured.err
 
 
+def test_random_search_refuses_an_all_zero_error_model(capsys, tmp_path, monkeypatch):
+    # Every trial's sigma would be 0: a usage error before any trial is drawn.
+    klev4, zero = cvwitness.builtin_state("klev4"), np.zeros((4, 4))
+    path = tmp_path / "exact.json"
+    save_state(make_state(klev4.gamma_xx, klev4.gamma_pp, zero, zero), path)
+    monkeypatch.setattr(np.random, "Philox", None)  # any draw would fail
+    argv = ["search", "--state", str(path), "--all-bipartitions", "--method", "random"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "every sigma entry is 0" in err
+
+
 def test_bound_symmetric_trivial(capsys):
     code, out, _ = run(capsys, "bound", "--symmetric-witness", "4", "--partition", "trivial")
     assert code == 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -215,3 +216,19 @@ def test_seeded_corpus_iteration_ceiling(monkeypatch):
                 _search(s, mode)
     assert len(solutions) == 18 and all(sol.converged for sol in solutions)
     assert sum(sol.iterations for sol in solutions) <= 320
+
+
+def test_genuine_search_memory_stays_small():
+    # All 31 cuts of a six-mode state in one program. The Schur complement is
+    # gathered from pairs of terms within each matrix block; each cut's linear
+    # row, whose terms span the shared witness and the cut's Y, is added as a
+    # rank-one term instead, so the pair tables stay small: about 14 MB at
+    # peak, against 34 MB with each row's pairs in the tables.
+    s = _network_state(6, 23)
+    tracemalloc.start()
+    try:
+        genuine_search(s, SearchConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak / 1e6

@@ -137,6 +137,18 @@ def test_sweep_empty_list_and_bad_input(klev4, monkeypatch):
         random_rank_one_search(exact, bipartitions(4), cfg)
 
 
+def test_all_zero_error_model_is_refused_before_any_draw(klev4, monkeypatch):
+    # With every sigma entry at 0 every trial's sigma is 0, so the sweep must
+    # refuse the state up front instead of drawing its 10^6 trials first.
+    zero = np.zeros((4, 4))
+    exact = make_state(klev4.gamma_xx, klev4.gamma_pp, zero, zero)
+    monkeypatch.setattr(np.random, "Philox", None)  # any draw would fail
+    with pytest.raises(ZeroSigma):
+        random_rank_one_search(exact, bipartitions(4))
+    with pytest.raises(ZeroSigma):
+        random_rank_one_search(exact, parse_partition("1|234", 4))
+
+
 def _network_state(n: int, seed: int):
     # Squeezed vacua through a random orthogonal network plus thermal noise,
     # with an error model proportional to the entries.

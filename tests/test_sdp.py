@@ -112,3 +112,61 @@ def test_solution_W_is_a_dual_point_of_the_witness_programs(monkeypatch, klev4, 
         residual = np.linalg.norm(adjoint + b) / (1 + np.linalg.norm(b))
         assert residual <= sdp._ACCEPT
         assert dual == pytest.approx(sol.dual, rel=1e-12)
+
+
+def _as_matrix(block: sdp.Block) -> sdp.Block:
+    # A 1x1 block z = F0 + a.y >= 0 posed as the 2x2 block diag(z, 1) PSD.
+    F0 = np.diag([block.F0[0, 0], 1.0])
+    return sdp.Block(F0, block.var, block.row, block.col, block.coef)
+
+
+def test_linear_cone_matches_its_matrix_form(monkeypatch, klev4, ppt4):
+    # The klev4 genuine program and ppt4 margin mode over every cut, solved
+    # again with each 1x1 block re-posed as a 2x2 matrix block, which the
+    # solver treats as a matrix: the same optimum, and each linear W the
+    # (0, 0) entry of its 2x2 W, whose (1, 1) entry is complementary to 1.
+    # The primals agree to 1e-9 relative (4e-10 measured). The duals agree
+    # only to the stopping rule: the klev4 program stalls with gaps of 7e-9
+    # and 2e-8, and its dual multipliers, about 0.5, differ by 3.3e-7.
+    runs, solve = [], sdp.solve
+
+    def spy(b, blocks, y0, group):
+        runs.append((b, blocks, y0, group))
+        return solve(b, blocks, y0, group)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    genuine_search(klev4, SearchConfig(s_level=4.0))
+    optimize_witness(ppt4, bipartitions(4), SearchConfig(s_level=0.0), no_error=True)
+    assert len(runs) == 2
+    for b, blocks, y0, group in runs:
+        linear = [j for j, block in enumerate(blocks) if block.F0.shape == (1, 1)]
+        assert len(linear) == 7
+        posed = [_as_matrix(blk) if j in linear else blk for j, blk in enumerate(blocks)]
+        cone, matrix = solve(b, blocks, y0, group), solve(b, posed, y0, group)
+        assert cone.converged and matrix.converged
+        tol = 1e-9 * (1 + abs(cone.primal))
+        assert cone.primal == pytest.approx(matrix.primal, abs=tol)
+        assert cone.dual == pytest.approx(matrix.dual, abs=sdp._TOL * (1 + abs(cone.primal)))
+        for j in linear:
+            assert cone.W[j].shape == (1, 1) and matrix.W[j].shape == (2, 2)
+            assert cone.W[j][0, 0] == pytest.approx(matrix.W[j][0, 0], abs=10 * sdp._ACCEPT)
+            assert abs(matrix.W[j][1, 1]) <= sdp._ACCEPT
+
+
+def test_linear_rows_are_checked_like_blocks():
+    # A 1x1 row may not join two variable groups, and y0 must put it strictly
+    # inside its half-line.
+    def row(F0, var, coef):
+        n = len(var)
+        return sdp.Block(np.array([[F0]]), np.array(var), np.zeros(n, int), np.zeros(n, int),
+                         np.array(coef, dtype=float))
+
+    b, y0 = np.array([1.0, 1.0]), np.array([0.1, 0.1])
+    ceiling = [row(1.0, [0], [-1.0]), row(1.0, [1], [-1.0])]
+    with pytest.raises(ValueError, match="two variable groups share a block"):
+        sdp.solve(b, ceiling + [row(1.0, [0, 1], [-1.0, -1.0])], y0, np.array([0, 1]))
+    for F0 in (-0.2, -0.1):  # z(y0) = F0 + 0.1 is 0, then negative
+        with pytest.raises(ValueError, match="the starting point is not strictly feasible"):
+            sdp.solve(b, ceiling + [row(F0, [0], [1.0])], y0, np.array([0, 1]))
+    sol = sdp.solve(b, ceiling + [row(0.0, [0], [1.0])], y0, np.array([0, 1]))
+    assert sol.converged and sol.primal == pytest.approx(2.0, abs=1e-7)

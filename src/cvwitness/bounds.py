@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PSD_TOL, NotPSD, quantum_bound, symmetrize
+from .linalg import PSD_TOL, NotPSD, _frozen, quantum_bound, symmetrize
 from .partitions import (
     Partition,
     PartitionError,
@@ -42,10 +42,8 @@ class WitnessPair:
             low = float(np.linalg.eigvalsh(M)[0])
             if low < -PSD_TOL:
                 raise NotPSD(low, f"witness {name}")
-        X.flags.writeable = False
-        P.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "X", _frozen(X))
+        object.__setattr__(self, "P", _frozen(P))
 
     @property
     def n(self) -> int:
@@ -99,11 +97,7 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     for idx in block_indices(p):
         value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
     mask = free_mask(p)
-    X0 = np.where(mask, 0.0, w.X)
-    P0 = np.where(mask, 0.0, w.P)
-    X0.flags.writeable = False
-    P0.flags.writeable = False
-    return BoundResult(value, X0, P0)
+    return BoundResult(value, *(_frozen(np.where(mask, 0.0, M)) for M in (w.X, w.P)))
 
 
 def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float | np.ndarray:

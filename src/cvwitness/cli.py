@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -35,8 +34,14 @@ from .partitions import Partition, PartitionError, bipartitions, parse_partition
 from .partitions import _block_text
 from .states import (
     BUILTIN_STATES,
+    GENUINE_EXPECTED,
     GENUINE_P,
     GENUINE_X,
+    PPT4_EXPECTED,
+    PPT4_P,
+    PPT4_PARAMS,
+    PPT4_X,
+    TABLE1_EXPECTED,
     CVState,
     StateFormatError,
     _as_block,
@@ -59,31 +64,6 @@ from .witness import (
 
 _UNPHYSICAL = "state is not physical; separability tests are inconclusive"
 
-# Parameters of the four-mode bound-entangled example and its witness.
-_PPT_PARAMS = {"x": 0.144375, "y": 0.084087, "p": 0.232000, "q": 0.039543}
-
-# Expected values for `reproduce` (printed to two decimals where shown).
-_TABLE1_EXPECTED = {
-    "q": {2: 0.0, 3: 3.46, 4: 8.48, 5: 15.49, 6: 24.49, 7: 35.49, 8: 48.49},
-    "a": {3: 5.00, 4: 10.03, 5: 17.06, 6: 26.07, 7: 37.08, 8: 50.09},
-    "b": {3: 5.46, 4: 10.89, 5: 18.26, 6: 27.59, 7: 38.89, 8: 52.17},
-    "f": {2: 2.0, 3: 6.0, 4: 12.0, 5: 20.0, 6: 30.0, 7: 42.0, 8: 56.0},
-}
-_GENUINE_EXPECTED = {
-    "G": 1.47484,
-    "sigma": 0.01947,
-    "bounds": {
-        "1|234": 1.65474,
-        "2|134": 1.66193,
-        "3|124": 1.56935,
-        "4|123": 1.63974,
-        "12|34": 1.81056,
-        "13|24": 1.74993,
-        "14|23": 1.56114,
-    },
-    "min_s": 4.43,
-}
-
 
 def _load_cli_state(source: str) -> CVState:
     if source in BUILTIN_STATES:
@@ -102,23 +82,6 @@ def _parse_partition_arg(text: str, n: int) -> Partition:
     if text == "full":
         return Partition.singletons(n)
     return parse_partition(text, n)
-
-
-def _threads(args: argparse.Namespace) -> int | None:
-    """--threads, overridden by CVWITNESS_THREADS; each given one must be an
-    integer >= 1, so a valid override hides no bad flag."""
-    threads = None
-    env = os.environ.get("CVWITNESS_THREADS")
-    for name, value in (("--threads", args.threads), ("CVWITNESS_THREADS", env)):
-        if value is None:
-            continue
-        try:
-            threads = int(value)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if threads < 1:
-            raise ValueError(f"{name} must be >= 1, got {threads}")
-    return threads
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -233,7 +196,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     state = _load_cli_state(args.state)
     n = state.n
-    threads = _threads(args)
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if args.restarts < 0:
         raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     s_level = 0.0 if args.no_error else args.s_level
@@ -245,7 +209,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         s_level=s_level,
-        C=args.C,
         distribution=args.distribution,
     )
 
@@ -279,7 +242,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             reports = optimize_witness(state, parts, cfg, no_error=args.no_error)
         else:
             reports = random_rank_one_search(
-                state, parts, cfg, threads=threads, no_error=args.no_error
+                state, parts, cfg, threads=args.threads, no_error=args.no_error
             )
         hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
         found = bool(hits)
@@ -311,7 +274,7 @@ def _reproduce_table1() -> tuple[bool, list[str], dict]:
     rows = {n: table1_bounds(n)._asdict() for n in range(2, 9)}
     checks = [
         (f"{key}(n={n})", row[key], want[n], 0.01)
-        for n, row in rows.items() for key, want in _TABLE1_EXPECTED.items()
+        for n, row in rows.items() for key, want in TABLE1_EXPECTED.items()
         if row[key] is not None and n in want
     ]
     return _checked(checks, {"rows": rows})
@@ -319,23 +282,19 @@ def _reproduce_table1() -> tuple[bool, list[str], dict]:
 
 def _reproduce_ppt4() -> tuple[bool, list[str], dict]:
     state = builtin_state("ppt4")
-    x, y, p, q = (_PPT_PARAMS[k] for k in ("x", "y", "p", "q"))
-    c, d = np.sqrt(x * y), np.sqrt(p * q)
-    X = np.array([[x, 0, -c, 0], [0, x, 0, c], [-c, 0, y, 0], [0, c, 0, y]])
-    P = np.array([[p, 0, 0, d], [0, p, d, 0], [0, d, q, 0], [d, 0, 0, q]])
-    w = WitnessPair(X, P)
+    w = WitnessPair(PPT4_X, PPT4_P)
     G = evaluate_G(w, state)
     part = parse_partition("12|34", 4)
     res = separability_bound(w, part)
+    x, y, p, q = (PPT4_PARAMS[k] for k in ("x", "y", "p", "q"))
     cert = 2 * (np.sqrt(x * p) + np.sqrt(y * q))
-    lines = []
-    ok1, line = _compare("G", G, 0.435170, 1e-6)
-    lines.append(line)
-    ok2, line = _compare("B_12|34 cert", cert, 0.481359, 1e-6)
-    lines.append(line)
-    ok3 = res.value >= 0.481359 - 1e-8
+    want = PPT4_EXPECTED["B_12|34"]
+    checks = [("G", G, PPT4_EXPECTED["G"], 1e-6), ("B_12|34 cert", cert, want, 1e-6)]
+    payload = {"G": G, "certificate": cert, "bound": res.value}
+    ok, lines, _ = _checked(checks, payload)
+    ok3 = res.value >= want - 1e-8
     lines.append(
-        f"  {'B_12|34':<12} computed {res.value:12.6f}   expected >= 0.481359"
+        f"  {'B_12|34':<12} computed {res.value:12.6f}   expected >= {want:.6f}"
         f"            {'ok' if ok3 else 'MISMATCH'}"
     )
     violated, _, _ = lmi_separability_test(state, parse_partition("1|234", 4))
@@ -345,8 +304,7 @@ def _reproduce_ppt4() -> tuple[bool, list[str], dict]:
         f"  {'LMI':<12} 1|234 violated: {violated}   12|34 violated: {passed}   "
         f"{'ok' if ok4 else 'MISMATCH'}"
     )
-    ok = ok1 and ok2 and ok3 and ok4
-    return ok, lines, {"G": G, "certificate": cert, "bound": res.value}
+    return ok and ok3 and ok4, lines, payload
 
 
 def _reproduce_genuine4() -> tuple[bool, list[str], dict]:
@@ -356,7 +314,7 @@ def _reproduce_genuine4() -> tuple[bool, list[str], dict]:
     bounds = {r.partition.text: r.bound for r in reports}
     payload = {"G": reports[0].G, "sigma": reports[0].sigma, "bounds": bounds}
     payload["min_s"] = min(r.s for r in reports)
-    want = _GENUINE_EXPECTED
+    want = GENUINE_EXPECTED
     checks = [(k, payload[k], want[k], 1e-4) for k in ("G", "sigma")]
     checks += [(f"B_{k}", v, want["bounds"][k], 1e-3) for k, v in bounds.items()]
     checks.append(("min s", payload["min_s"], want["min_s"], 0.01))
@@ -380,14 +338,16 @@ def _reproduce_alt() -> tuple[bool, list[str], dict]:
     return ok, lines, {"min_gap": worst}
 
 
+_REPRODUCE = {
+    "table1": _reproduce_table1,
+    "ppt4": _reproduce_ppt4,
+    "genuine4": _reproduce_genuine4,
+    "alt-property": _reproduce_alt,
+}
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    targets = {
-        "table1": _reproduce_table1,
-        "ppt4": _reproduce_ppt4,
-        "genuine4": _reproduce_genuine4,
-        "alt-property": _reproduce_alt,
-    }
-    ok, lines, payload = targets[args.target]()
+    ok, lines, payload = _REPRODUCE[args.target]()
     print(f"reproduce {args.target}:")
     for line in lines:
         print(line)
@@ -466,9 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=6.0,
         help="certification level in standard deviations",
     )
-    s.add_argument("--C", type=float, default=1.0, help="normalization constant")
     s.add_argument("--distribution", choices=("normal", "uniform"), default="normal")
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, help="default: the CPUs this process may use")
     s.add_argument(
         "--restarts", type=int, default=200,
         help="ignored, as the convex solver needs no restarts; must be >= 0",
@@ -482,9 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_search)
 
     r = sub.add_parser("reproduce", help="recompute bundled reference results")
-    r.add_argument(
-        "target", choices=("table1", "ppt4", "genuine4", "alt-property")
-    )
+    r.add_argument("target", choices=tuple(_REPRODUCE))
     r.add_argument("--json", metavar="FILE")
     r.set_defaults(func=cmd_reproduce)
     return ap

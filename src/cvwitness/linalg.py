@@ -27,6 +27,13 @@ class NotPSD(ValueError):
         )
 
 
+def _frozen(a) -> np.ndarray:
+    """a as a read-only array; an array is frozen in place."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
 def symmetrize(A: np.ndarray) -> np.ndarray:
     """Return the symmetric part (A + A^T)/2 as a float array."""
     A = np.asarray(A, dtype=float)

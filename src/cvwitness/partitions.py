@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .linalg import _frozen
+
 _DIGIT_RUNS = 9  # up to nine modes a label is one digit; a block is a digit run
 
 
@@ -24,11 +26,6 @@ class PartitionError(ValueError):
 def _block_text(block, n: int) -> str:
     """One block's labels: "134" for n <= 9, "1,10" above."""
     return ("" if n <= _DIGIT_RUNS else ",").join(str(i) for i in block)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

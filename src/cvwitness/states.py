@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import NotPSD, _spectrum
+from .linalg import NotPSD, _frozen, _spectrum
 
 # A state is physical when its symplectic spectrum stays above the vacuum
 # value 1/2; printed 5-decimal data may sit slightly below, hence the slack.
@@ -51,9 +51,7 @@ def _as_block(raw, n: int, name: str, nonnegative: bool = False) -> np.ndarray:
         raise StateFormatError(f"{name} is asymmetric beyond 1e-8")
     if nonnegative and A.min() < 0:
         raise StateFormatError(f"{name} has negative entries")
-    A = (A + A.T) / 2.0
-    A.flags.writeable = False
-    return A
+    return _frozen((A + A.T) / 2.0)
 
 
 def make_state(
@@ -173,29 +171,12 @@ def partial_transpose(state: CVState, modes: Iterable[int]) -> CVState:
             raise ValueError(f"mode {m} out of range 1..{state.n}")
     signs = np.ones(state.n)
     signs[[m - 1 for m in modes]] = -1.0
-    gpp = state.gamma_pp * np.outer(signs, signs)  # exact +/- flips
-    gpp.flags.writeable = False
-    return replace(state, gamma_pp=gpp)
+    # exact +/- flips
+    return replace(state, gamma_pp=_frozen(state.gamma_pp * np.outer(signs, signs)))
 
 
-_PPT4_GXX = 0.5 * np.array(
-    [
-        [2, 0, 1, 0],
-        [0, 2, 0, -1],
-        [1, 0, 2, 0],
-        [0, -1, 0, 2],
-    ],
-    dtype=float,
-)
-_PPT4_GPP = 0.5 * np.array(
-    [
-        [1, 0, 0, -1],
-        [0, 1, -1, 0],
-        [0, -1, 4, 0],
-        [-1, 0, 0, 4],
-    ],
-    dtype=float,
-)
+_PPT4_GXX = 0.5 * np.array([[2, 0, 1, 0], [0, 2, 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]])
+_PPT4_GPP = 0.5 * np.array([[1, 0, 0, -1], [0, 1, -1, 0], [0, -1, 4, 0], [-1, 0, 0, 4]])
 
 _KLEV4_GXX = [
     [1.09921, 0.16092, -0.17609, -0.84831],
@@ -223,8 +204,9 @@ _KLEV4_SPP = [
 ]
 
 
-# Reference witness certifying genuine four-partite entanglement of klev4.
-GENUINE_X = np.array(
+# Reference witness certifying genuine four-partite entanglement of klev4,
+# and the values `reproduce genuine4` expects of it.
+GENUINE_X = _frozen(
     [
         [0.39234, -0.20267, 0.24691, 0.30527],
         [-0.20267, 0.88526, 0.09450, 0.09080],
@@ -232,7 +214,7 @@ GENUINE_X = np.array(
         [0.30527, 0.09080, 0.20795, 0.39504],
     ]
 )
-GENUINE_P = np.array(
+GENUINE_P = _frozen(
     [
         [0.22992, -0.13140, -0.00477, -0.11723],
         [-0.13140, 0.52598, -0.32316, -0.16699],
@@ -240,10 +222,51 @@ GENUINE_P = np.array(
         [-0.11723, -0.16699, 0.06971, 0.31242],
     ]
 )
-GENUINE_X.flags.writeable = False
-GENUINE_P.flags.writeable = False
+GENUINE_EXPECTED = {
+    "G": 1.47484,
+    "sigma": 0.01947,
+    "bounds": {
+        "1|234": 1.65474, "2|134": 1.66193, "3|124": 1.56935, "4|123": 1.63974,
+        "12|34": 1.81056, "13|24": 1.74993, "14|23": 1.56114,
+    },
+    "min_s": 4.43,
+}
 
-BUILTIN_STATES = ("ppt4", "klev4", "vacuum4")
+# Parameters of the witness that detects ppt4 across 12|34, the witness
+# itself, and the values `reproduce ppt4` expects: G on ppt4 and the
+# closed-form B_12|34 = 2 (sqrt(x p) + sqrt(y q)).
+PPT4_PARAMS = {"x": 0.144375, "y": 0.084087, "p": 0.232000, "q": 0.039543}
+PPT4_EXPECTED = {"G": 0.435170, "B_12|34": 0.481359}
+
+
+def _ppt4_witness(x, y, p, q) -> tuple[np.ndarray, np.ndarray]:
+    c, d = np.sqrt(x * y), np.sqrt(p * q)
+    X = [[x, 0, -c, 0], [0, x, 0, c], [-c, 0, y, 0], [0, c, 0, y]]
+    P = [[p, 0, 0, d], [0, p, d, 0], [0, d, q, 0], [d, 0, 0, q]]
+    return _frozen(X), _frozen(P)
+
+
+PPT4_X, PPT4_P = _ppt4_witness(**PPT4_PARAMS)
+
+# Expected Table 1 entries per key and n, as printed to two decimals.
+TABLE1_EXPECTED = {
+    "q": {2: 0.0, 3: 3.46, 4: 8.48, 5: 15.49, 6: 24.49, 7: 35.49, 8: 48.49},
+    "a": {3: 5.00, 4: 10.03, 5: 17.06, 6: 26.07, 7: 37.08, 8: 50.09},
+    "b": {3: 5.46, 4: 10.89, 5: 18.26, 6: 27.59, 7: 38.89, 8: 52.17},
+    "f": {2: 2.0, 3: 6.0, 4: 12.0, 5: 20.0, 6: 30.0, 7: 42.0, 8: 56.0},
+}
+
+_VACUUM4, _VACUUM4_SIGMA = 0.5 * np.eye(4), 0.01 * np.ones((4, 4))
+_BUILTINS = {
+    "ppt4": lambda: make_state(_PPT4_GXX, _PPT4_GPP, label="ppt4"),
+    "klev4": lambda: make_state(
+        _KLEV4_GXX, _KLEV4_GPP, _KLEV4_SXX, _KLEV4_SPP, label="klev4"
+    ),
+    "vacuum4": lambda: make_state(
+        _VACUUM4, _VACUUM4, _VACUUM4_SIGMA, _VACUUM4_SIGMA, label="vacuum4"
+    ),
+}
+BUILTIN_STATES = tuple(_BUILTINS)
 
 
 def builtin_state(name: str) -> CVState:
@@ -258,15 +281,8 @@ def builtin_state(name: str) -> CVState:
     "vacuum4": separable negative control, vacuum blocks with uniform 1%
     errors.
     """
-    if name == "ppt4":
-        return make_state(_PPT4_GXX, _PPT4_GPP, label="ppt4")
-    if name == "klev4":
-        return make_state(
-            _KLEV4_GXX, _KLEV4_GPP, _KLEV4_SXX, _KLEV4_SPP, label="klev4"
+    if name not in _BUILTINS:
+        raise ValueError(
+            f"unknown builtin state {name!r} (try one of {', '.join(BUILTIN_STATES)})"
         )
-    if name == "vacuum4":
-        sig = 0.01 * np.ones((4, 4))
-        return make_state(0.5 * np.eye(4), 0.5 * np.eye(4), sig, sig, label="vacuum4")
-    raise ValueError(
-        f"unknown builtin state {name!r} (try one of {', '.join(BUILTIN_STATES)})"
-    )
+    return _BUILTINS[name]()

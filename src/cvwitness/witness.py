@@ -17,7 +17,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from math import erfc, isfinite, sqrt
+from math import erfc, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -65,12 +65,13 @@ class ViolationReport:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Shared knobs for the witness searches."""
+    """Shared knobs for the witness searches. The solver's witnesses come at
+    G = 1: a score is scale invariant, and a raw margin is compared with the
+    solver's duality gap, which does not scale with the witness."""
 
     trials: int = 10**6
     seed: int = 0
     s_level: float = 6.0
-    C: float = 1.0
     distribution: str = "normal"
 
     def __post_init__(self):
@@ -80,8 +81,6 @@ class SearchConfig:
             raise ValueError(f"s_level must be >= 0, got {self.s_level}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if not (self.C > 0 and isfinite(self.C)):
-            raise ValueError(f"C must be positive and finite, got {self.C}")
         if self.distribution not in ("normal", "uniform"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -331,14 +330,14 @@ _NONPOSITIVE_G = "witness has nonpositive G; cannot normalize"
 
 
 def _lift(
-    s: CVState, cuts: Sequence[Partition], shared: bool, score: bool, C: float
+    s: CVState, cuts: Sequence[Partition], shared: bool, score: bool
 ) -> list[tuple[WitnessPair, float, bool]]:
-    """Solve the lifted SDP: one (witness at G = C, gap, converged) per copy.
+    """Solve the lifted SDP: one (witness at G = 1, gap, converged) per copy.
 
     B(X_bb, P_bb) = max{tr Y : [[X_bb, Y], [Y^T, P_bb]] PSD}, so one Y per
     block makes B_I linear, with X, P PSD. shared=True gives one witness for
     all cuts, otherwise one copy per cut. Margin mode maximizes
-    sum_b tr Y_b - C subject to G <= C. Score mode maximizes t subject to
+    sum_b tr Y_b - 1 subject to G <= 1. Score mode maximizes t subject to
     sigma(X, P) <= 1 (an arrow LMI) and sum_b tr Y_Ib - G >= t for every cut
     I of the copy. The score is scale invariant, so t is the best min_I s_I
     if that is positive; else t = 0 and the witness only shows s <= 0. Each
@@ -361,7 +360,7 @@ def _lift(
         trace = float(gam @ diag)  # tr gxx + tr gpp
         if not trace > 0:
             raise ValueError(_NONPOSITIVE_G)
-        eps = 0.5 * C / trace  # G = C/2
+        eps = 0.5 / trace  # G = 1/2
     gain, y0, group, blocks, spans = [], [], [], [], []
 
     def var(count, label, init=0.0, b=0.0):
@@ -384,7 +383,7 @@ def _lift(
             arrow = np.arange(1, 2 * nt + 1)
             block(np.eye(2 * nt + 1), XP, 0 * arrow, arrow, sd)
         else:
-            block(C, XP, 0 * XP, 0 * XP, -gam)
+            block(1.0, XP, 0 * XP, 0 * XP, -gam)
         for j, q in enumerate(members):
             terms = [(XP, -gam), (t, -np.ones(t.size))]
             for idx in block_indices(q):
@@ -412,7 +411,8 @@ def _lift(
         G = float(gam @ xp)
         if not G > 0:
             raise ValueError(_NONPOSITIVE_G)
-        X, P = (C / G) * xp[:nt][tri], (C / G) * xp[nt:][tri]
+        # (1/G) * xp rounds unlike xp / G, and saved reports carry its digits
+        X, P = (1.0 / G) * xp[:nt][tri], (1.0 / G) * xp[nt:][tri]
         gap = abs(dual - float(b[v0:v1] @ sol.y[v0:v1]))
         out.append((WitnessPair(X, P), gap, sol.converged))
     return out
@@ -428,8 +428,8 @@ def optimize_witness(
     """The optimal witness for each partition, with its duality gap.
 
     With an error model (and no_error=False) it maximizes the score
-    s = (B_I - G)/sigma, otherwise the raw margin B_I - G at G = C (the
-    report then carries the margin only). The witness is rescaled to G = C
+    s = (B_I - G)/sigma, otherwise the raw margin B_I - G at G = 1 (the
+    report then carries the margin only). The witness is rescaled to G = 1
     and rescored through violation_score or separability_bound; the gap says
     how far from the optimum it can be. s_level > 0 needs an error model and
     no_error=True needs s_level = 0. p is one partition (one report) or a
@@ -445,7 +445,7 @@ def optimize_witness(
     score = s.has_error_model and not no_error
     reports = [
         _report(w, s, q, score, converged=ok, gap=gap)
-        for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, score, cfg.C))
+        for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, score))
     ]
     return reports[0] if isinstance(p, Partition) else reports
 
@@ -463,7 +463,7 @@ def genuine_search(
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
     bips = bipartitions(s.n)
-    ((witness, gap, ok),) = _lift(s, bips, True, True, cfg.C)
+    ((witness, gap, ok),) = _lift(s, bips, True, True)
     reports = [_report(witness, s, q, True, converged=ok, gap=gap) for q in bips]
     return all(_certified(r, s, cfg.s_level) for r in reports), witness, reports
 

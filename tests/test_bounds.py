@@ -161,6 +161,12 @@ def test_lmi_never_fires_on_separable_state(vacuum4):
         assert low >= -1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_lmi_test_refuses_a_mode_count_mismatch(ppt4, n):
+    with pytest.raises(ValueError, match=f"state is 4-mode but partition is over {n}"):
+        lmi_separability_test(ppt4, Partition.trivial(n))
+
+
 def test_analytic_biseparable_bound_values():
     printed = {3: 5.00, 4: 10.03, 5: 17.06, 6: 26.07, 7: 37.08, 8: 50.09}
     for n, want in printed.items():

@@ -68,6 +68,15 @@ def test_bound_witness_file(capsys, tmp_path):
     assert "certificate X" in out
 
 
+@pytest.mark.parametrize("extra", [(), ("--partition", "12|34")])
+def test_bound_table1_needs_the_symmetric_witness(capsys, tmp_path, extra):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"n": 4, "X": np.eye(4).tolist(), "P": np.eye(4).tolist()}))
+    code, out, err = run(capsys, "bound", "--witness", str(path), "--table1", *extra)
+    assert (code, out) == (2, "")
+    assert "--table1 applies to --symmetric-witness only" in err
+
+
 def test_bound_full_partition(capsys):
     code, out, _ = run(capsys, "bound", "--symmetric-witness", "4", "--partition", "full")
     assert code == 0
@@ -402,7 +411,7 @@ def test_search_genuine(capsys):
     assert "FOUND" in out
 
 
-def test_search_json_deterministic(capsys, tmp_path, monkeypatch):
+def test_search_json_deterministic(capsys, tmp_path):
     a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
     args = (
         "search",
@@ -417,18 +426,8 @@ def test_search_json_deterministic(capsys, tmp_path, monkeypatch):
     )
     run(capsys, *args, "--json", str(a))
     run(capsys, *args, "--json", str(b))
-    monkeypatch.setenv("CVWITNESS_THREADS", "2")
-    run(capsys, *args, "--json", str(c))
+    run(capsys, *args, "--threads", "2", "--json", str(c))
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
-
-
-def test_search_rejects_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("CVWITNESS_THREADS", "lots")
-    code, _, err = run(
-        capsys, "search", "--state", "klev4", "--partition", "1|234", "--trials", "10"
-    )
-    assert code == 2
-    assert "CVWITNESS_THREADS" in err
 
 
 def test_search_all_bipartitions_json_thread_invariant(capsys, tmp_path):
@@ -440,42 +439,36 @@ def test_search_all_bipartitions_json_thread_invariant(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), ("0", "2")])
 def test_search_rejects_thread_count_below_one(capsys, monkeypatch, flag, env):
+    # env is a CVWITNESS_THREADS value, which is not read: it hides no bad flag.
     argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "10"]
-    if flag is not None:
-        argv += ["--threads", flag]
     if env is not None:
         monkeypatch.setenv("CVWITNESS_THREADS", env)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert ("CVWITNESS_THREADS" if env else "--threads") in err
-    assert "must be >= 1" in err
-
-
-def test_valid_thread_env_hides_no_bad_flag(capsys, monkeypatch):
-    # The environment value overrides the flag, but the flag is checked too.
-    monkeypatch.setenv("CVWITNESS_THREADS", "2")
-    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "10"]
-    code, out, err = run(capsys, *argv, "--threads", "0")
+    code, out, err = run(capsys, *argv, "--threads", flag)
     assert (code, out) == (2, "")
-    assert "--threads must be >= 1, got 0" in err
+    assert f"--threads must be >= 1, got {flag}" in err
 
 
-def test_thread_env_overrides_a_valid_flag(capsys, monkeypatch):
-    seen = []
-    search = cli.random_rank_one_search
+def test_thread_env_is_not_read(capsys, tmp_path, monkeypatch):
+    # The thread count is --threads or the usable CPUs; CVWITNESS_THREADS=0
+    # changes neither the exit code nor a byte of the report.
+    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "1000"]
+    plain, env = tmp_path / "plain.json", tmp_path / "env.json"
+    want = run(capsys, *argv, "--json", str(plain))[:2]
+    monkeypatch.setenv("CVWITNESS_THREADS", "0")
+    assert run(capsys, *argv, "--json", str(env))[:2] == want
+    assert want[0] == 1
+    assert env.read_bytes() == plain.read_bytes()
 
-    def spy(*args, threads, **kwargs):
-        seen.append(threads)
-        return search(*args, threads=threads, **kwargs)
 
-    monkeypatch.setattr(cli, "random_rank_one_search", spy)
-    monkeypatch.setenv("CVWITNESS_THREADS", "1")
-    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "10"]
-    run(capsys, *argv, "--threads", "2")
-    assert seen == [1]
+def test_search_has_no_normalization_flag(capsys):
+    # Solver witnesses are normalized to G = 1; --C is a usage error.
+    argv = ["search", "--state", "klev4", "--partition", "1|234", "--trials", "1000"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--C", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --C 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -616,14 +609,6 @@ def test_search_seed_must_fit_64_bits(capsys, path, seed, ok):
     else:
         assert code == 2 and out == ""
         assert "seed must be in [0, 2^64)" in err
-
-
-@pytest.mark.parametrize("path", sorted(SEARCH_PATHS))
-@pytest.mark.parametrize("C", ["inf", "-inf", "nan"])
-def test_search_rejects_non_finite_C(capsys, path, C):
-    code, out, err = run(capsys, "search", "--state", "klev4", *SEARCH_PATHS[path], f"--C={C}")
-    assert code == 2 and out == ""
-    assert "C must be positive and finite" in err
 
 
 def test_search_state_from_file(capsys, tmp_path, klev4):

@@ -203,6 +203,12 @@ def test_symplectic_spectrum_rejects_xp_and_indefinite_blocks():
         symplectic_spectrum(np.diag([1.0, 1.0, -1.0, 1.0]))
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_symplectic_spectrum_refuses_an_odd_dimension(m):
+    with pytest.raises(ValueError, match=f"must be 2n x 2n, got {m} x {m}"):
+        symplectic_spectrum(np.eye(m))
+
+
 def test_alt_gap_nonnegative():
     gen = np.random.default_rng(41)
     for _ in range(200):

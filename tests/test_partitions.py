@@ -1,6 +1,8 @@
 """Mode partitions: parsing, enumeration, refinement, block labels and masks."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,21 @@ def test_is_finer():
     assert is_finer(coarse, Partition.trivial(4))
     assert not is_finer(parse_partition("13|24", 4), coarse)
     assert is_finer(coarse, coarse)
+
+
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda: bipartitions(1), "bipartitions need n >= 2, got 1"),
+        (lambda: symmetric_bipartition_representatives(1), "representatives need n >= 2, got 1"),
+        (lambda: Partition.trivial(3).block_of(0), "index 0 out of range 1..3"),
+        (lambda: is_finer(Partition.trivial(3), Partition.trivial(4)), "mode counts differ: 3 vs 4"),
+    ],
+    ids=["bipartitions", "representatives", "block_of", "is_finer"],
+)
+def test_out_of_range_input_is_refused(call, cause):
+    with pytest.raises(PartitionError, match=re.escape(cause)):
+        call()
 
 
 def test_free_mask_trivial_and_singletons():

@@ -170,3 +170,40 @@ def test_linear_rows_are_checked_like_blocks():
             sdp.solve(b, ceiling + [row(F0, [0], [1.0])], y0, np.array([0, 1]))
     sol = sdp.solve(b, ceiling + [row(0.0, [0], [1.0])], y0, np.array([0, 1]))
     assert sol.converged and sol.primal == pytest.approx(2.0, abs=1e-7)
+
+
+def test_numerical_breakdown_returns_the_best_feasible_iterate(monkeypatch, klev4):
+    # A LinAlgError from a late factorization of klev4's genuine program ends
+    # the solve at its best iterate so far: y is feasible, checked on each
+    # Z_j(y) built densely from the block terms, and the primal is b.y.
+    runs, solve, inv_chol = [], sdp.solve, sdp._inv_chol
+
+    def spy(b, blocks, y0, group):
+        runs.append((b, blocks, y0, group))
+        return solve(b, blocks, y0, group)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    genuine_search(klev4, SearchConfig(s_level=4.0))
+    ((b, blocks, y0, group),) = runs
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError
+        return inv_chol(A)
+
+    monkeypatch.setattr(sdp, "_inv_chol", counted)
+    fail_at = None
+    full = solve(b, blocks, y0, group)
+    fail_at, total = len(calls) // 2, len(calls)
+    calls.clear()
+    sol = solve(b, blocks, y0, group)
+    assert len(calls) == fail_at < total
+    assert full.converged and not sol.converged
+    assert 0 < sol.iterations < full.iterations
+    assert sol.primal == float(b @ sol.y)
+    assert sol.primal <= full.dual + sdp._TOL * (1 + abs(full.dual))
+    for block in blocks:
+        Z = block.F0 + np.einsum("i,ijk->jk", sol.y, _dense(block, b.size))
+        assert np.linalg.eigvalsh(Z)[0] > 0

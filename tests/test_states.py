@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def test_make_state_rejects_bad_blocks():
         make_state(g, g, np.ones((2, 2)), None)
     with pytest.raises(StateFormatError):
         make_state(np.full((2, 2), np.nan), g)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_make_state_refuses_a_non_square_gamma_xx(shape):
+    cause = f"gamma_xx must be square, got shape {shape}"
+    with pytest.raises(StateFormatError, match=re.escape(cause)):
+        make_state(np.ones(shape), np.eye(2))
 
 
 def test_load_state_from_dict_text_and_file(tmp_path):

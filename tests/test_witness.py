@@ -46,6 +46,13 @@ def test_measurement_sigma_needs_model(ppt4, genuine_witness):
         measurement_sigma(genuine_witness, ppt4)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_measurement_sigma_refuses_a_mode_count_mismatch(klev4, n):
+    w = WitnessPair(np.eye(n), np.eye(n))
+    with pytest.raises(ValueError, match=f"witness is {n}-mode but state is 4-mode"):
+        measurement_sigma(w, klev4)
+
+
 def test_condition_E_reference_witness(klev4, genuine_witness):
     # The weakest bipartition hits zero at the certified level.
     p = parse_partition("14|23", 4)
@@ -156,8 +163,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(trials=0)
     with pytest.raises(ValueError):
-        SearchConfig(C=0.0)
-    with pytest.raises(ValueError):
         SearchConfig(distribution="cauchy")
 
 
@@ -179,7 +184,7 @@ def test_optimize_witness_certifies(klev4):
     G = float(
         np.sum(r.witness.X * klev4.gamma_xx) + np.sum(r.witness.P * klev4.gamma_pp)
     )
-    assert G == pytest.approx(cfg.C, abs=1e-9)
+    assert G == pytest.approx(1.0, abs=1e-9)
     r2 = optimize_witness(klev4, p, cfg)
     assert r2.s == r.s
 

@@ -10,9 +10,9 @@ entanglement across I.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class WitnessPair:
 
     X: np.ndarray
     P: np.ndarray
+    # The vectors of a pair made by rank_one; None for any other pair.
+    h: np.ndarray | None = field(default=None, init=False, repr=False)
+    g: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         X = symmetrize(np.asarray(self.X, dtype=float))
@@ -44,6 +47,18 @@ class WitnessPair:
                 raise NotPSD(low, f"witness {name}")
         object.__setattr__(self, "X", _frozen(X))
         object.__setattr__(self, "P", _frozen(P))
+
+    @classmethod
+    def rank_one(cls, h, g) -> "WitnessPair":
+        """X = hh^T and P = gg^T, PSD by construction and so not checked."""
+        h, g = np.array(h, dtype=float), np.array(g, dtype=float)
+        X, P = np.outer(h, h), np.outer(g, g)
+        if h.ndim != 1 or h.shape != g.shape or not np.isfinite([X, P]).all():
+            raise ValueError(f"h and g must be finite and alike: {h.shape}, {g.shape}")
+        w = object.__new__(cls)
+        for name, v in (("X", X), ("P", P), ("h", h), ("g", g)):
+            object.__setattr__(w, name, _frozen(v))
+        return w
 
     @property
     def n(self) -> int:
@@ -85,7 +100,8 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     products, on which G splits into per-block terms tr(X_bb gxx_bb) +
     tr(P_bb gpp_bb), each at least B(X_bb, P_bb); a product of per-block
     minimizers attains every term, so no larger bound holds. The block terms
-    are added in block order, starting from 0.0.
+    are added in block order, starting from 0.0. A rank-one pair takes the
+    closed form rank_one_bound: B(h_b h_b^T, g_b g_b^T) = |<h_b, g_b>|.
 
     The certificate is the witness with its cross-block entries zeroed: it
     keeps every within-block entry of (X, P) exactly, stays PSD, and its
@@ -93,25 +109,43 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     """
     if w.n != p.n:
         raise ValueError(f"witness is {w.n}-mode but partition is over {p.n}")
-    value = 0.0
-    for idx in block_indices(p):
-        value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
+    if w.h is not None:
+        value = rank_one_bound(w.h, w.g, p)
+    else:
+        value = 0.0
+        for idx in block_indices(p):
+            value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
     mask = free_mask(p)
     return BoundResult(value, *(_frozen(np.where(mask, 0.0, M)) for M in (w.X, w.P)))
 
 
-def rank_one_bound(h: np.ndarray, g: np.ndarray, p: Partition) -> float | np.ndarray:
+def rank_one_bound(
+    h: np.ndarray, g: np.ndarray, p: Partition | Sequence[Partition]
+) -> float | np.ndarray:
     """Partition bound for the rank-one pair X=hh^T, P=gg^T: sum over blocks
     of |sum_{i in block} h_i g_i|; never below |<h,g>|. Vectors give a float,
-    stacked (t, n) rows t values, each with the bits of its own vector."""
+    stacked (t, n) rows t values, a sequence of partitions an axis in front.
+    Block sums add modes in ascending order, then blocks in order, each from
+    0.0, so every value has the bits of its own vector and partition."""
     h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
     if h.shape != g.shape or h.ndim not in (1, 2):
         raise ValueError(f"h and g must be vectors or rows alike: {h.shape}, {g.shape}")
-    if h.shape[-1] != p.n:
-        raise ValueError(f"h and g have {h.shape[-1]} modes, partition has {p.n}")
-    prod = h * g  # each block is summed left to right, whatever the row count
-    total = sum(np.abs(sum(prod[..., i] for i in b)) for b in block_indices(p))
-    return float(total) if h.ndim == 1 else total
+    parts = [p] if isinstance(p, Partition) else list(p)
+    n = h.shape[-1]
+    if any(q.n != n for q in parts):
+        raise ValueError(f"h and g have {n} modes, a partition has another count")
+    prod, rest = h * g, h.shape[:-1]
+    labels = np.array([q.labels for q in parts], dtype=int)
+    kmax = int(labels.max(initial=-1)) + 1
+    slots = (labels + kmax * np.arange(len(parts))[:, None]).T  # (n, parts)
+    sums = np.zeros((len(parts) * kmax,) + rest)
+    for i, slot in enumerate(slots):
+        sums[slot] += prod[..., i]
+    sums = np.abs(sums).reshape((len(parts), kmax) + rest)
+    # a partition with fewer blocks adds +0.0
+    total = sum((sums[:, b] for b in range(kmax)), np.zeros((len(parts),) + rest))
+    total = total[0] if isinstance(p, Partition) else total
+    return float(total) if total.ndim == 0 else total
 
 
 def lmi_separability_test(

@@ -230,33 +230,29 @@ def random_rank_one_search(
 ) -> ViolationReport | list[ViolationReport]:
     """Best violation over cfg.trials random rank-one witnesses X=hh^T, P=gg^T.
 
-    p is one partition, which returns one report, or a sequence of
-    partitions, which returns one report per partition in that order. One
-    set of trials scores every partition: trials are drawn in fixed
-    65536-trial batches, each from its own counter-based stream keyed by
-    (seed, batch), and each batch computes its draws, G and sigma once; only
-    the closed-form rank-one bound (block sums of h*g) is partition-specific.
-    The results therefore equal those of separate calls, one per partition.
-    G, sigma and _trial_bound are computed on _TILE-trial tiles, each copied
-    transposed into a contiguous (2n, tile) array, so per batch a worker
-    holds the (65536, 2n) draw plus a few 65536-long vectors.
-    The merge takes, per partition, the maximal score with the lowest global
-    trial index on ties, so the result is identical for any thread count.
-    Each winner is rescored through separability_bound. With no_error=True
-    the error model is ignored and trials are ranked by the raw margin
-    B_I - G, each sigma set to 1, instead of the significance level;
-    otherwise a state whose sigma entries are all 0 raises ZeroSigma at once.
+    p is one partition (one report) or a sequence (one report each, in
+    order). One set of trials, drawn in 65536-trial batches from streams
+    keyed by (seed, batch), scores every partition, so results equal those
+    of one call per partition. Ties go to the lowest trial index, whatever
+    the thread count. Winners are rank-one WitnessPairs, whose bound is the
+    closed form. With no_error=True trials are ranked by the raw margin
+    B_I - G (sigma set to 1); otherwise an all-zero error model raises
+    ZeroSigma at once.
 
-    A partition is scored only on the trials whose bound u_t, the score with
-    S_t = sum_i |h_i g_i| (1 + 1e-12) in place of B_I (_trial_bound), reaches
-    theta: the smallest over partitions of the best score on the _PROBE
-    trials of largest u. Proof that the computed u_t is at least every
-    computed score of trial t: |sum_b h_i g_i| <= sum_b |h_i g_i|, so exact
-    S bounds every exact B_I; float sums of n terms keep the computed B_I
-    below S (1 + 2n eps) and the computed S above S (1 - n eps), a gap the
-    slack covers up to n = 1000; subtracting G and dividing by sigma round
-    monotonically. So each winner, scoring at least theta, is among the
-    trials scored, which stay in index order for ties.
+    Pruning. The computed S_t = sum_i |h_i g_i| (1 + 1e-12) (_trial_bound)
+    is at least every computed B_I of trial t: |sum_b h_i g_i| <=
+    sum_b |h_i g_i|, and float sums of n terms keep the computed B_I below
+    S (1 + 2n eps) and the computed S above S (1 - n eps), a gap the slack
+    covers up to n = 1000. Subtracting G and dividing by sigma round
+    monotonically, and a float difference is positive exactly when the exact
+    one is. So only a trial with margin S_t - G_t > 0 can score above 0, and
+    only those get sigma and every partition's block sums: a partition with
+    a positive best there has its winner there, the first maximum. Any other
+    partition is scored on the trials whose u_t = (S_t - G_t)/sigma_t, an
+    upper bound on each of their scores, reaches theta: the smallest over
+    those partitions of the best score on the _PROBE trials of largest u.
+    G, S and sigma take _TILE trials at a time and scores at most _BATCH,
+    so a worker holds about one (65536, 2n) draw.
     """
     if not no_error:
         _require_model(s, score=True)
@@ -277,39 +273,49 @@ def random_rank_one_search(
             Z = gen.standard_normal((size, 2 * n))
         else:
             Z = gen.uniform(-1.0, 1.0, (size, 2 * n))
-        H, G_ = Z[:, :n], Z[:, n:]
-        gval, var, bound = np.empty((3, size))
+        gval, margin = np.empty((2, size))
         for lo in range(0, size, _TILE):
-            T = Z[lo : lo + _TILE].T.copy()  # (2n, tile), contiguous
-            HT, GT, tile = T[:n], T[n:], slice(lo, lo + T.shape[1])
-            gval[tile] = _quad(HT, gxx) + _quad(GT, gpp)
-            bound[tile] = _trial_bound(HT.T, GT.T)
-            if no_error:
-                var[tile] = 1.0
-            else:
+            T, tile = Z[lo : lo + _TILE].T.copy(), slice(lo, lo + _TILE)
+            gval[tile] = _quad(T[:n], gxx) + _quad(T[n:], gpp)
+            margin[tile] = _trial_bound(T[:n].T, T[n:].T) - gval[tile]
+
+        def sigma(rows):  # sigma^2 of rows, _TILE rows at a time
+            var = np.ones(rows.size)
+            for lo in range(0, 0 if no_error else rows.size, _TILE):
+                T = Z[rows[lo : lo + _TILE]].T.copy()  # (2n, tile), contiguous
                 np.square(T, out=T)
-                var[tile] = _quad(HT, sxx2) + _quad(GT, spp2)
-        ok = var > 0
-        scale = np.sqrt(np.where(ok, var, 1.0))
+                var[lo : lo + _TILE] = _quad(T[:n], sxx2) + _quad(T[n:], spp2)
+            return var
 
-        def scorer(rows):
-            """Scores of one partition on rows gathered once for every partition."""
-            h, g, gv, okr, sr = H[rows], G_[rows], gval[rows], ok[rows], scale[rows]
-            return lambda q: np.where(okr, (rank_one_bound(h, g, q) - gv) / sr, -np.inf)
+        def per_sigma(x, v):  # x / sigma, -inf where sigma is 0
+            return np.where(v > 0, x / np.sqrt(np.where(v > 0, v, 1.0)), -np.inf)
 
-        upper = bound - gval
-        upper = np.where(ok, upper / scale, -np.inf)
-        probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
-        at_probe = scorer(probe)
-        theta = min(at_probe(q).max() for q in parts)
-        cand = np.flatnonzero(upper >= theta)
-        at_cand = scorer(cand)
-        best = []
-        for q in parts:
-            sc = at_cand(q)
-            k = int(cand[np.argmax(sc)])  # first maximum: lowest trial index
-            best.append((float(sc.max()), b * _BATCH + k, H[k].copy(), G_[k].copy()))
-        return best
+        def best(rows, var, qs):
+            """Per partition of qs: best score on rows, whose sigma^2 is var,
+            and the first row reaching it."""
+            top, at = np.full(len(qs), -np.inf), np.zeros(len(qs), dtype=int)
+            step = max(1, _BATCH // len(qs))
+            for lo in range(0, rows.size, step):
+                r, v = rows[lo : lo + step], var[lo : lo + step]
+                sc = per_sigma(rank_one_bound(Z[r, :n], Z[r, n:], qs) - gval[r], v)
+                k = sc.argmax(axis=1)  # first maximum: lowest trial index
+                val = sc[np.arange(len(qs)), k]
+                up = val > top
+                top[up], at[up] = val[up], r[k[up]]
+            return top, at
+
+        pos = np.flatnonzero(margin > 0)
+        top, at = best(pos, sigma(pos), parts)
+        fall = np.flatnonzero(~(top > 0))
+        if fall.size:
+            qs = [parts[j] for j in fall]
+            var = sigma(np.arange(size))
+            upper = per_sigma(margin, var)
+            probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
+            theta = best(probe, var[probe], qs)[0].min()
+            cand = np.flatnonzero(upper >= theta)
+            top[fall], at[fall] = best(cand, var[cand], qs)
+        return list(zip(top.tolist(), (b * _BATCH + at).tolist(), Z[at, :n], Z[at, n:]))
 
     if workers == 1:
         results = [run_batch(b) for b in batches]
@@ -321,8 +327,7 @@ def random_rank_one_search(
         score, _, h, g = max((r[j] for r in results), key=lambda r: (r[0], -r[1]))
         if score == -np.inf:
             raise ZeroSigma("every trial had zero sigma; check the error model")
-        win = WitnessPair(np.outer(h, h), np.outer(g, g))
-        reports.append(_report(win, s, q, not no_error))
+        reports.append(_report(WitnessPair.rank_one(h, g), s, q, not no_error))
     return reports[0] if isinstance(p, Partition) else reports
 
 
@@ -471,11 +476,12 @@ def genuine_search(
 def _describe_witness(w: WitnessPair) -> str:
     """Rank-one witnesses shown by their vectors, others by shape."""
     parts = []
-    for name, M in (("h", w.X), ("g", w.P)):
-        vals, vecs = np.linalg.eigh(M)
-        if vals[-1] <= 0 or (w.n > 1 and vals[-2] > 1e-8 * vals[-1]):
-            return f"matrix({w.n}x{w.n})"
-        v = np.sqrt(vals[-1]) * vecs[:, -1]
+    for name, M, v in (("h", w.X, w.h), ("g", w.P, w.g)):
+        if v is None:
+            vals, vecs = np.linalg.eigh(M)
+            if vals[-1] <= 0 or (w.n > 1 and vals[-2] > 1e-8 * vals[-1]):
+                return f"matrix({w.n}x{w.n})"
+            v = np.sqrt(vals[-1]) * vecs[:, -1]
         # The first entry within a relative 1e-6 of the largest magnitude is
         # made positive, so entries that tie up to rounding flip no sign.
         a = np.abs(v)
@@ -509,9 +515,10 @@ def reports_to_json(reports: Sequence[ViolationReport]) -> str:
 
 
 def reports_table(reports: Sequence[ViolationReport]) -> str:
-    """Fixed-width text table, one row per report, 5-decimal columns."""
+    """One row per report, 5-decimal columns; the partition column fits every label."""
+    wide = max([12] + [len(r.partition.text) for r in reports])
     header = (
-        f"{'partition':<12} {'G':>10} {'sigma':>10} {'bound':>10} "
+        f"{'partition':<{wide}} {'G':>10} {'sigma':>10} {'bound':>10} "
         f"{'s':>10} {'confidence':>11}  witness"
     )
     lines = [header, "-" * len(header)]
@@ -520,7 +527,7 @@ def reports_table(reports: Sequence[ViolationReport]) -> str:
         sv = "-" if r.s is None else f"{r.s:10.5f}"
         cv = "-" if r.confidence is None else f"{r.confidence:11.3e}"
         lines.append(
-            f"{r.partition.text:<12} {r.G:10.5f} {sig:>10} {r.bound:10.5f} "
+            f"{r.partition.text:<{wide}} {r.G:10.5f} {sig:>10} {r.bound:10.5f} "
             f"{sv:>10} {cv:>11}  {_describe_witness(r.witness)}"
         )
     return "\n".join(lines)

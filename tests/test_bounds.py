@@ -278,3 +278,58 @@ def test_partition_size_mismatch():
     w = _witness(gen, 3)
     with pytest.raises(ValueError):
         separability_bound(w, parse_partition("12|34", 4))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rank_one_pair_takes_the_closed_form(n):
+    # A rank-one pair's B_I is the closed form, checked two ways on every
+    # partition, also where h_b = 0. The eigen path sums quantum_bound over
+    # the blocks of the same matrices; it takes square roots of eigenvalues
+    # that are rounding noise, of order eps |h_b|^2 |g_b|^2, which pass its
+    # cutoff when <h_b, g_b> is small, so it may be off by about
+    # sqrt(eps) |h_b| |g_b| per block (seen up to 2.5e-9 of
+    # sum_b |h_b| |g_b| here). The nuclear-norm oracle runs on X + eps I,
+    # P + eps I: with factors [h, sqrt(eps) I] and [g, sqrt(eps) I], the
+    # triangle inequality puts each block at most
+    # sqrt(eps) (|h_b| + |g_b|) + n_b eps above |<h_b, g_b>|, and B only
+    # grows with X and P. Both oracles are computed once per block.
+    gen = np.random.default_rng(40 + n)
+    eps = 1e-12
+    for zeros in (0, (n + 1) // 2):
+        h, g = gen.standard_normal((2, n))
+        h[:zeros] = 0.0
+        w = WitnessPair.rank_one(h, g)
+        assert np.array_equal(w.X, np.outer(h, h)) and np.array_equal(w.h, h)
+        assert np.array_equal(w.P, np.outer(g, g)) and np.array_equal(w.g, g)
+        assert WitnessPair(w.X, w.P).h is None
+        X, P = w.X + eps * np.eye(n), w.P + eps * np.eye(n)
+        oracles = {}
+        for p in all_partitions(n):
+            got = separability_bound(w, p).value
+            assert got == rank_one_bound(h, g, p), p.text
+            eigen = nuclear = scale = room = 0.0
+            for block in p.blocks:
+                if block not in oracles:
+                    idx = np.array(block) - 1
+                    i = np.ix_(idx, idx)
+                    hb, gb = np.linalg.norm(h[idx]), np.linalg.norm(g[idx])
+                    oracles[block] = (
+                        quantum_bound(w.X[i], w.P[i]),
+                        _nuclear_block_sum(X[i], P[i], Partition.trivial(idx.size)),
+                        hb * gb,
+                        np.sqrt(eps) * (hb + gb) + len(block) * eps,
+                    )
+                e, u, c, r = oracles[block]
+                eigen, nuclear, scale, room = eigen + e, nuclear + u, scale + c, room + r
+            noise = 8 * np.sqrt(np.finfo(float).eps) * scale
+            assert got == pytest.approx(eigen, rel=1e-12, abs=noise), p.text
+            assert got - 1e-9 <= nuclear <= got + room + 1e-9, p.text
+
+
+def test_rank_one_pair_validates_its_vectors():
+    with pytest.raises(ValueError):
+        WitnessPair.rank_one(np.ones(3), np.ones(2))
+    with pytest.raises(ValueError):
+        WitnessPair.rank_one(np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        WitnessPair.rank_one(np.array([1.0, np.nan]), np.ones(2))

@@ -326,3 +326,87 @@ def test_pool_never_outnumbers_cpus_or_batches(klev4, monkeypatch):
     assert started == [2]
     _assert_same(one, random_rank_one_search(klev4, p, SearchConfig(trials=BATCH)))
     assert two.s >= one.s
+
+
+def _pair_and_vacua():
+    # Modes 1, 2: a two-mode squeezed state (r = 0.6); modes 3, 4: vacuum.
+    # Cuts that split 1 from 2 are entangled, so some trial scores above 0;
+    # 12|34, 3|124 and 4|123 are separable, so every score is below 0.
+    c, s = np.cosh(1.2) / 2, np.sinh(1.2) / 2
+    gxx, gpp = 0.5 * np.eye(4), 0.5 * np.eye(4)
+    gxx[:2, :2] = [[c, s], [s, c]]
+    gpp[:2, :2] = [[c, -s], [-s, c]]
+    sigma = np.full((4, 4), 0.01)
+    return make_state(gxx, gpp, sigma, sigma)
+
+
+@pytest.mark.parametrize("name", ["pair-vacua", "vacuum4", "ppt4"])
+def test_both_sweep_branches_match_oracle(request, name):
+    # A partition with a positive score is won among the trials of positive
+    # trial-bound margin; every other one falls back to the probe scan.
+    # Both must give the oracle's winner, bit for bit, on any thread count.
+    if name == "pair-vacua":
+        state = _pair_and_vacua()
+    else:
+        state = request.getfixturevalue(name)
+    no_error = name == "ppt4"
+    parts = bipartitions(4)
+    seed, trials = 5, 2 * BATCH + 17
+    winners = _oracle_winners(state, parts, seed, trials, "normal", no_error)
+    positive = {p.text for p, (_, _, score) in zip(parts, winners) if score > 0}
+    if name == "pair-vacua":
+        assert positive == {"1|234", "2|134", "13|24", "14|23"}
+    elif name == "vacuum4":
+        assert positive == set()
+    else:
+        assert 0 < len(positive) < len(parts)
+    cfg = SearchConfig(trials=trials, seed=seed)
+    for threads in (1, 2):
+        reports = random_rank_one_search(
+            state, parts, cfg, threads=threads, no_error=no_error
+        )
+        for r, (h, g, _) in zip(reports, winners):
+            assert np.array_equal(r.witness.h, h), r.partition.text
+            assert np.array_equal(r.witness.g, g), r.partition.text
+            assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
+
+
+def test_rank_one_reports_make_no_eigendecomposition(monkeypatch):
+    # One batch over all 511 ten-mode bipartitions, then its table: each
+    # winner is a rank-one pair, whose bound, PSD check and description
+    # need no eigendecomposition.
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    state = _network_state(10, 5)
+    cfg = SearchConfig(trials=BATCH, seed=3)
+    reports = random_rank_one_search(state, bipartitions(10), cfg, threads=1)
+    table = witness.reports_table(reports)
+    assert len(reports) == 511 and "h=(" in table
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["vacuum4", "six-mode"])
+def test_new_paths_stay_near_one_draw(request, name):
+    # The bound of test_batch_memory_stays_near_one_draw on the fallback
+    # (vacuum4, where no partition has a positive score) and on the 31
+    # bipartitions of six modes, won among the positive-margin trials.
+    if name == "vacuum4":
+        state, parts = request.getfixturevalue("vacuum4"), bipartitions(4)
+    else:
+        state, parts = _six_mode_state(), bipartitions(6)
+    draw = BATCH * 2 * state.n * 8
+    cfg = SearchConfig(trials=BATCH, seed=13)
+    tracemalloc.start()
+    try:
+        random_rank_one_search(state, parts, cfg, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * draw, peak / draw

@@ -281,3 +281,29 @@ def test_rank_one_vectors_print_one_sign_when_entries_tie(a, b):
             texts.add(_describe_witness(WitnessPair(np.outer(h, h), np.outer(h, h))))
     v = f"({a:.2f}, {-a:.2f}, {b:.2f}, {b:.2f})"
     assert texts == {f"h={v} g={v}"}
+
+
+def test_table_partition_column_fits_ten_mode_labels(klev4):
+    # "1|2,3,4,5,6,7,8,9,10" is 20 characters: the partition column widens
+    # to it, so every row keeps its columns under the header. Tables whose
+    # labels fit keep the 12-character column.
+    g, sigma = 0.5 * np.eye(10), np.full((10, 10), 0.01)
+    state = make_state(g, g, sigma, sigma)
+    gen = np.random.default_rng(2)
+    parts = bipartitions(10)[:12] + [parse_partition("1,2,3,4,5|6,7,8,9,10", 10)]
+    reports = [
+        violation_score(WitnessPair.rank_one(*gen.standard_normal((2, 10))), state, p)
+        for p in parts
+    ]
+    header, rule, *rows = reports_table(reports).splitlines()
+    assert header.startswith("partition" + " " * 12 + " ")
+    assert len(rule) == len(header)
+    assert {row.index("  h=(") for row in rows} == {header.index("  witness")}
+    for row, r in zip(rows, reports):
+        assert row.split()[:2] == [r.partition.text, f"{r.G:.5f}"]
+    w = WitnessPair.rank_one(np.ones(4), np.ones(4))
+    four = reports_table([violation_score(w, klev4, p) for p in bipartitions(4)])
+    assert four.splitlines()[0] == (
+        "partition             G      sigma      bound          s  confidence  witness"
+    )
+    assert four.splitlines()[2].startswith("1|234        ")

@@ -48,7 +48,6 @@ from .states import (
 )
 from .witness import (
     MissingErrorModel,
-    SearchConfig,
     ViolationReport,
     ZeroSigma,
     condition_E,
@@ -71,7 +70,6 @@ __all__ = [
     "NotPSD",
     "Partition",
     "PartitionError",
-    "SearchConfig",
     "StateFormatError",
     "Table1Row",
     "ViolationReport",

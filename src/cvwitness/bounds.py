@@ -20,6 +20,7 @@ from .linalg import PSD_TOL, NotPSD, _frozen, quantum_bound, symmetrize
 from .partitions import (
     Partition,
     PartitionError,
+    _partition_list,
     free_mask,
     symmetric_bipartition_representatives,
 )
@@ -88,11 +89,6 @@ def evaluate_G(w: WitnessPair, s: CVState) -> float:
     return float(np.sum(w.X * s.gamma_xx) + np.sum(w.P * s.gamma_pp))
 
 
-def block_indices(p: Partition) -> tuple[np.ndarray, ...]:
-    """Read-only 0-based index arrays of the blocks of p, cached on p."""
-    return p._indices
-
-
 def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     """Partition bound B_p(X, P) = sum over blocks b of B(X_bb, P_bb).
 
@@ -107,13 +103,12 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     keeps every within-block entry of (X, P) exactly, stays PSD, and its
     quantumness bound equals the returned value.
     """
-    if w.n != p.n:
-        raise ValueError(f"witness is {w.n}-mode but partition is over {p.n}")
+    _partition_list(p, w.n, "witness")
     if w.h is not None:
         value = rank_one_bound(w.h, w.g, p)
     else:
         value = 0.0
-        for idx in block_indices(p):
+        for idx in p.indices:
             value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
     mask = free_mask(p)
     return BoundResult(value, *(_frozen(np.where(mask, 0.0, M)) for M in (w.X, w.P)))
@@ -130,10 +125,7 @@ def rank_one_bound(
     h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
     if h.shape != g.shape or h.ndim not in (1, 2):
         raise ValueError(f"h and g must be vectors or rows alike: {h.shape}, {g.shape}")
-    parts = [p] if isinstance(p, Partition) else list(p)
-    n = h.shape[-1]
-    if any(q.n != n for q in parts):
-        raise ValueError(f"h and g have {n} modes, a partition has another count")
+    parts = _partition_list(p, h.shape[-1], "witness")
     prod, rest = h * g, h.shape[:-1]
     labels = np.array([q.labels for q in parts], dtype=int)
     kmax = int(labels.max(initial=-1)) + 1
@@ -159,8 +151,7 @@ def lmi_separability_test(
     returns (violated, most negative eigenvalue found, per-mode worst pattern).
     The block count is capped at 12 to keep the enumeration tractable.
     """
-    if s.n != p.n:
-        raise ValueError(f"state is {s.n}-mode but partition is over {p.n}")
+    _partition_list(p, s.n)
     if p.k > 12:
         raise PartitionError(f"the LMI test needs at most 12 blocks, got {p.k}")
     n = s.n

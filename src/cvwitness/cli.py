@@ -52,8 +52,9 @@ from .states import (
     partial_transpose,
 )
 from .witness import (
-    SearchConfig,
+    _at_least,
     _certified,
+    _check_seed,
     genuine_search,
     optimize_witness,
     random_rank_one_search,
@@ -196,28 +197,25 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     state = _load_cli_state(args.state)
     n = state.n
-    if args.threads is not None and args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    if args.restarts < 0:
-        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
+    if args.threads is not None:
+        _at_least("--threads", args.threads, 1)
+    _at_least("--restarts", args.restarts, 0)
     s_level = 0.0 if args.no_error else args.s_level
     if not args.no_error and not state.has_error_model:
         raise ValueError(
             "state has no error model; pass --no-error to score by raw margin"
         )
-    cfg = SearchConfig(
-        trials=args.trials,
-        seed=args.seed,
-        s_level=s_level,
-        distribution=args.distribution,
-    )
+    # Each search checks only what it reads; a bad value fails on every path.
+    _at_least("trials", args.trials, 1)
+    _at_least("s_level", s_level, 0)
+    _check_seed(args.seed)
 
     if args.genuine:
         if args.no_error:
             raise ValueError("the genuine search needs an error model")
-        found, _, reports = genuine_search(state, cfg)
+        found, _, reports = genuine_search(state, s_level=s_level)
         verdict = (
-            f"genuine multipartite entanglement at level s >= {cfg.s_level}: "
+            f"genuine multipartite entanglement at level s >= {s_level}: "
             f"{'FOUND' if found else 'not found'}"
         )
     else:
@@ -239,10 +237,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         # margin mode defaults to the convex search.
         method = args.method or ("optimize" if args.no_error else "random")
         if method == "optimize":
-            reports = optimize_witness(state, parts, cfg, no_error=args.no_error)
+            reports = optimize_witness(state, parts, no_error=args.no_error)
         else:
             reports = random_rank_one_search(
-                state, parts, cfg, threads=args.threads, no_error=args.no_error
+                state, parts, trials=args.trials, seed=args.seed,
+                threads=args.threads, no_error=args.no_error,
             )
         hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
         found = bool(hits)
@@ -426,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=6.0,
         help="certification level in standard deviations",
     )
-    s.add_argument("--distribution", choices=("normal", "uniform"), default="normal")
     s.add_argument("--threads", type=int, help="default: the CPUs this process may use")
     s.add_argument(
         "--restarts", type=int, default=200,

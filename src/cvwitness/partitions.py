@@ -77,8 +77,8 @@ class Partition:
         return "|".join(_block_text(b, self.n) for b in shown)
 
     @cached_property
-    def _indices(self) -> tuple[np.ndarray, ...]:
-        """Read-only 0-based index array of each block, in block order."""
+    def indices(self) -> tuple[np.ndarray, ...]:
+        """Read-only, computed once: the 0-based modes of each block, in order."""
         return tuple(_frozen(np.array(b, dtype=int) - 1) for b in self.blocks)
 
     @cached_property
@@ -95,6 +95,15 @@ class Partition:
 
     def __str__(self) -> str:
         return self.text
+
+
+def _partition_list(p, n: int, what: str = "state") -> list[Partition]:
+    """p, one partition or a sequence, as a list; each must be over n modes."""
+    parts = [p] if isinstance(p, Partition) else list(p)
+    for q in parts:
+        if q.n != n:
+            raise ValueError(f"{what} is {n}-mode but partition is over {q.n}")
+    return parts
 
 
 def _parse_group(group: str, n: int) -> list[int]:

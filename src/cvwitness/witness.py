@@ -23,15 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from . import sdp
-from .bounds import (
-    BoundResult,
-    WitnessPair,
-    block_indices,
-    evaluate_G,
-    rank_one_bound,
-    separability_bound,
-)
-from .partitions import Partition, bipartitions
+from .bounds import BoundResult, WitnessPair, evaluate_G, rank_one_bound
+from .bounds import separability_bound
+from .partitions import Partition, _partition_list, bipartitions
 from .states import CVState, is_physical
 
 _BATCH = 65536
@@ -63,26 +57,16 @@ class ViolationReport:
     gap: float | None = None  # duality gap of the solver; None off the solver
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Shared knobs for the witness searches. The solver's witnesses come at
-    G = 1: a score is scale invariant, and a raw margin is compared with the
-    solver's duality gap, which does not scale with the witness."""
+def _at_least(name: str, value, low) -> None:
+    """Refuse value below low, or NaN, with a message naming it."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
-    trials: int = 10**6
-    seed: int = 0
-    s_level: float = 6.0
-    distribution: str = "normal"
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.s_level >= 0:
-            raise ValueError(f"s_level must be >= 0, got {self.s_level}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.distribution not in ("normal", "uniform"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that cannot key the Philox trial streams."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
 def _require_model(s: CVState, score: bool = False) -> None:
@@ -110,8 +94,7 @@ def measurement_sigma(w: WitnessPair, s: CVState) -> float:
 
 def condition_E(w: WitnessPair, s: CVState, p: Partition, s_level: float) -> float:
     """E_I = G + s_level*sigma - B_I; negative refutes I-separability."""
-    if not s_level >= 0:
-        raise ValueError(f"s_level must be >= 0, got {s_level}")
+    _at_least("s_level", s_level, 0)
     sigma = measurement_sigma(w, s) if s_level > 0 else 0.0
     return evaluate_G(w, s) + s_level * sigma - separability_bound(w, p).value
 
@@ -186,18 +169,8 @@ def _resolve_threads(threads: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _at_least("threads", threads, 1)
     return threads
-
-
-def _partition_list(s: CVState, p: Partition | Sequence[Partition]) -> list[Partition]:
-    """p as a list, one partition or a sequence, each checked against s.n."""
-    parts = [p] if isinstance(p, Partition) else list(p)
-    for q in parts:
-        if q.n != s.n:
-            raise ValueError(f"state is {s.n}-mode but partition is over {q.n}")
-    return parts
 
 
 def _batch_rng(seed: int, stream: int) -> np.random.Generator:
@@ -223,21 +196,22 @@ def _trial_bound(H: np.ndarray, G: np.ndarray) -> np.ndarray:
 def random_rank_one_search(
     s: CVState,
     p: Partition | Sequence[Partition],
-    cfg: SearchConfig = SearchConfig(),
     *,
+    trials: int = 10**6,
+    seed: int = 0,
     threads: int | None = None,
     no_error: bool = False,
 ) -> ViolationReport | list[ViolationReport]:
-    """Best violation over cfg.trials random rank-one witnesses X=hh^T, P=gg^T.
+    """Best violation over trials random rank-one witnesses X=hh^T, P=gg^T.
 
     p is one partition (one report) or a sequence (one report each, in
-    order). One set of trials, drawn in 65536-trial batches from streams
-    keyed by (seed, batch), scores every partition, so results equal those
-    of one call per partition. Ties go to the lowest trial index, whatever
-    the thread count. Winners are rank-one WitnessPairs, whose bound is the
-    closed form. With no_error=True trials are ranked by the raw margin
-    B_I - G (sigma set to 1); otherwise an all-zero error model raises
-    ZeroSigma at once.
+    order). One set of trials, standard normal draws in 65536-trial batches
+    from Philox streams keyed by (seed, batch), scores every partition, so
+    results equal those of one call per partition. Ties go to the lowest
+    trial index, whatever the thread count. Winners are rank-one
+    WitnessPairs, whose bound is the closed form. With no_error=True trials
+    are ranked by the raw margin B_I - G (sigma set to 1); otherwise an
+    all-zero error model raises ZeroSigma at once.
 
     Pruning. The computed S_t = sum_i |h_i g_i| (1 + 1e-12) (_trial_bound)
     is at least every computed B_I of trial t: |sum_b h_i g_i| <=
@@ -254,11 +228,13 @@ def random_rank_one_search(
     G, S and sigma take _TILE trials at a time and scores at most _BATCH,
     so a worker holds about one (65536, 2n) draw.
     """
+    _at_least("trials", trials, 1)
+    _check_seed(seed)
     if not no_error:
         _require_model(s, score=True)
-    parts = _partition_list(s, p)
+    parts = _partition_list(p, s.n)
     n = s.n
-    batches = range((cfg.trials + _BATCH - 1) // _BATCH)
+    batches = range((trials + _BATCH - 1) // _BATCH)
     workers = min(_resolve_threads(threads), len(batches))
     if not parts:
         return []
@@ -267,12 +243,8 @@ def random_rank_one_search(
         sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
 
     def run_batch(b: int) -> list[tuple[float, int, np.ndarray, np.ndarray]]:
-        size = min(_BATCH, cfg.trials - b * _BATCH)
-        gen = _batch_rng(cfg.seed, b)
-        if cfg.distribution == "normal":
-            Z = gen.standard_normal((size, 2 * n))
-        else:
-            Z = gen.uniform(-1.0, 1.0, (size, 2 * n))
+        size = min(_BATCH, trials - b * _BATCH)
+        Z = _batch_rng(seed, b).standard_normal((size, 2 * n))
         gval, margin = np.empty((2, size))
         for lo in range(0, size, _TILE):
             T, tile = Z[lo : lo + _TILE].T.copy(), slice(lo, lo + _TILE)
@@ -391,7 +363,7 @@ def _lift(
             block(1.0, XP, 0 * XP, 0 * XP, -gam)
         for j, q in enumerate(members):
             terms = [(XP, -gam), (t, -np.ones(t.size))]
-            for idx in block_indices(q):
+            for idx in q.indices:
                 k = idx.size
                 a, e = np.divmod(np.arange(k * k), k)
                 Y = var(k * k, j if shared else c, 0.0, (a == e) * (not score))
@@ -426,51 +398,47 @@ def _lift(
 def optimize_witness(
     s: CVState,
     p: Partition | Sequence[Partition],
-    cfg: SearchConfig = SearchConfig(),
     *,
     no_error: bool = False,
 ) -> ViolationReport | list[ViolationReport]:
     """The optimal witness for each partition, with its duality gap.
 
-    With an error model (and no_error=False) it maximizes the score
-    s = (B_I - G)/sigma, otherwise the raw margin B_I - G at G = 1 (the
-    report then carries the margin only). The witness is rescaled to G = 1
-    and rescored through violation_score or separability_bound; the gap says
-    how far from the optimum it can be. s_level > 0 needs an error model and
-    no_error=True needs s_level = 0. p is one partition (one report) or a
-    sequence (one report each, in order, each with its own witness).
+    It maximizes the score s = (B_I - G)/sigma, which needs an error model
+    (else MissingErrorModel), or with no_error=True the raw margin B_I - G
+    (the report then carries the margin only). Witnesses come at G = 1: a
+    score is scale invariant, and a margin is compared with the gap, which
+    does not scale with the witness. Each is rescored through
+    violation_score or separability_bound; the gap says how far from the
+    optimum it can be. p is one partition (one report) or a sequence (one
+    report each, in order, each with its own witness).
     """
-    if no_error and cfg.s_level > 0:
-        raise ValueError("no_error scoring requires s_level == 0")
-    if cfg.s_level > 0:
-        _require_model(s)
-    parts = _partition_list(s, p)
+    parts = _partition_list(p, s.n)
     if not parts:
         return []
-    score = s.has_error_model and not no_error
     reports = [
-        _report(w, s, q, score, converged=ok, gap=gap)
-        for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, score))
+        _report(w, s, q, not no_error, converged=ok, gap=gap)
+        for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, not no_error))
     ]
     return reports[0] if isinstance(p, Partition) else reports
 
 
 def genuine_search(
-    s: CVState, cfg: SearchConfig = SearchConfig()
+    s: CVState, *, s_level: float = 6.0
 ) -> tuple[bool, WitnessPair, list[ViolationReport]]:
     """The witness with the largest min over bipartitions I of s_I.
 
     One SDP in score mode over every bipartition with one shared witness
-    (see _lift); FOUND when _certified accepts every bipartition's report.
-    The result does not depend on cfg.seed; each report carries the gap.
+    (see _lift); FOUND when _certified accepts every bipartition's report at
+    s_level. Each report carries the gap.
     """
+    _at_least("s_level", s_level, 0)
     _require_model(s)
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
     bips = bipartitions(s.n)
     ((witness, gap, ok),) = _lift(s, bips, True, True)
     reports = [_report(witness, s, q, True, converged=ok, gap=gap) for q in bips]
-    return all(_certified(r, s, cfg.s_level) for r in reports), witness, reports
+    return all(_certified(r, s, s_level) for r in reports), witness, reports
 
 
 def _describe_witness(w: WitnessPair) -> str:

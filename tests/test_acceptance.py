@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cvwitness import (
-    SearchConfig,
     WitnessPair,
     alt_inequality_gap,
     condition_E,
@@ -118,10 +117,9 @@ def test_criterion_4_random_search_floors(klev4):
         "13|24": 20.0,
         "14|23": 7.0,
     }
-    cfg = SearchConfig(trials=10**6, seed=7)
     reached = {}
     for p in bipartitions(4):
-        r = random_rank_one_search(klev4, p, cfg, threads=4)
+        r = random_rank_one_search(klev4, p, trials=10**6, seed=7, threads=4)
         reached[p.text] = r.s
         assert r.s >= floors[p.text], f"{p.text}: s={r.s:.2f}"
     elapsed = time.perf_counter() - begin
@@ -132,8 +130,7 @@ def test_criterion_4_random_search_floors(klev4):
 
 def test_criterion_5_genuine_search(klev4, genuine_witness):
     begin = time.perf_counter()
-    cfg = SearchConfig(seed=0, s_level=4.0)
-    found, _, reports = genuine_search(klev4, cfg)
+    found, _, reports = genuine_search(klev4, s_level=4.0)
     assert found
     assert all(r.s >= 4.0 - 1e-6 for r in reports)
     assert time.perf_counter() - begin < 1800.0

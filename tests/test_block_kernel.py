@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvwitness.bounds import WitnessPair, block_indices, separability_bound
+from cvwitness.bounds import WitnessPair, separability_bound
 from cvwitness import sdp
 from cvwitness.linalg import NotPSD, quantum_bound
 from cvwitness.partitions import Partition, all_partitions
@@ -27,7 +27,7 @@ def _nuclear(FX: np.ndarray, FP: np.ndarray) -> float:
 
 def _oracle(FX: np.ndarray, FP: np.ndarray, p: Partition) -> float:
     # Rows of a factor of X restricted to a block factor the block X_bb.
-    return sum(_nuclear(FX[idx], FP[idx]) for idx in block_indices(p))
+    return sum(_nuclear(FX[idx], FP[idx]) for idx in p.indices)
 
 
 def _stack(gen: np.random.Generator, m: int, k: int, floor: float = 0.0):
@@ -80,7 +80,7 @@ def test_partition_bound_equals_sum_of_block_calls_exactly():
         w = WitnessPair(X, P)
         for p in all_partitions(n):
             want = 0.0
-            for idx in block_indices(p):
+            for idx in p.indices:
                 ix = np.ix_(idx, idx)
                 want += quantum_bound(X[ix], P[ix])
             assert separability_bound(w, p).value == want, p.text
@@ -127,7 +127,7 @@ def test_gradients_match_finite_differences_of_oracle(dual_gradient):
         X, P = (M[0] for M in _stack(gen, 1, n, 0.5))
         for p in parts:
             gX, gP = np.zeros((n, n)), np.zeros((n, n))
-            for idx in block_indices(p):
+            for idx in p.indices:
                 ix = np.ix_(idx, idx)
                 gX[ix], gP[ix] = dual_gradient(X[ix], P[ix])
             D = gen.standard_normal((n, n))

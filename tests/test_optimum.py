@@ -20,7 +20,6 @@ from cvwitness.cli import _certified, main
 from cvwitness.partitions import bipartitions, parse_partition
 from cvwitness.states import make_state
 from cvwitness.witness import (
-    SearchConfig,
     genuine_search,
     optimize_witness,
     random_rank_one_search,
@@ -28,8 +27,6 @@ from cvwitness.witness import (
     violation_score,
 )
 from test_rank_one_sweep import _network_state
-
-MARGIN = SearchConfig(s_level=0.0)
 
 
 def _random_state(gen: np.random.Generator, n: int):
@@ -45,7 +42,7 @@ def _random_state(gen: np.random.Generator, n: int):
 
 
 def test_ppt4_optimal_margins(ppt4):
-    reports = optimize_witness(ppt4, bipartitions(4), MARGIN, no_error=True)
+    reports = optimize_witness(ppt4, bipartitions(4), no_error=True)
     for r in reports:
         margin = r.bound - r.G
         assert r.converged and r.gap <= 1e-7 * (1 + abs(margin)), r.partition.text
@@ -59,7 +56,7 @@ def test_ppt4_optimal_margins(ppt4):
 
 
 def test_certification_threshold(ppt4):
-    r = optimize_witness(ppt4, parse_partition("12|34", 4), MARGIN, no_error=True)
+    r = optimize_witness(ppt4, parse_partition("12|34", 4), no_error=True)
     bound = rounding_bound(r.witness, ppt4)
     assert 0 < bound < 1e-10
     for gap in (0.0, 1e-9):
@@ -83,7 +80,7 @@ def test_margin_mode_certifies_every_lmi_flagged_cut(ppt4, klev4):
     flagged_cuts = 0
     for s in states:
         flagged = [p for p in bipartitions(s.n) if lmi_separability_test(s, p)[1] < -1e-6]
-        for r in optimize_witness(s, flagged, MARGIN, no_error=True):
+        for r in optimize_witness(s, flagged, no_error=True):
             assert _certified(r, s, 0.0), (r.partition.text, r.bound - r.G, r.gap)
         flagged_cuts += len(flagged)
     assert flagged_cuts > 500
@@ -134,20 +131,19 @@ def test_optimum_beats_every_random_witness(klev4):
     # below 0 the program's optimum is 0, whatever the best negative score.
     gen = np.random.default_rng(9)
     states = [klev4] + [_random_state(gen, n) for n in (3, 4, 5)]
-    cfg = SearchConfig(trials=65536, seed=4, s_level=0.0)
     for s in states[1:]:
         sig = 0.002 + 0.01 * np.abs(s.gamma_xx), 0.002 + 0.01 * np.abs(s.gamma_pp)
         states[states.index(s)] = make_state(s.gamma_xx, s.gamma_pp, *sig)
     for s in states:
         parts = bipartitions(s.n)
-        drawn = random_rank_one_search(s, parts, cfg)
-        for r, q in zip(optimize_witness(s, parts, cfg), drawn):
+        drawn = random_rank_one_search(s, parts, trials=65536, seed=4)
+        for r, q in zip(optimize_witness(s, parts), drawn):
             assert q.s <= 0 or r.s >= q.s - 1e-6 * (1 + q.s), r.partition.text
-        drawn = random_rank_one_search(s, parts, cfg, no_error=True)
-        for r, q in zip(optimize_witness(s, parts, cfg, no_error=True), drawn):
+        drawn = random_rank_one_search(s, parts, trials=65536, seed=4, no_error=True)
+        for r, q in zip(optimize_witness(s, parts, no_error=True), drawn):
             # Random witnesses are not normalized: compare margins at G = 1.
             assert r.bound - r.G >= (q.bound - q.G) / q.G - 1e-9, r.partition.text
-        found, w, reports = genuine_search(s, cfg)
+        found, w, reports = genuine_search(s, s_level=0.0)
         best = min(violation_score(w, s, p).s for p in parts)
         assert min(r.s for r in reports) == pytest.approx(best, abs=1e-12)
         for h, g in np.random.default_rng(1).standard_normal((200, 2, s.n)):
@@ -165,9 +161,9 @@ def test_vacuum_controls_converge():
         sig = np.abs(gen.standard_normal((n, n))) * 0.01
         s = make_state(0.5 * np.eye(n), 0.5 * np.eye(n), sig + sig.T, sig + sig.T)
         parts = bipartitions(n)
-        for r in optimize_witness(s, parts, SearchConfig()):
+        for r in optimize_witness(s, parts):
             assert r.converged and r.s <= 1e-6, r.partition.text
-        for r in optimize_witness(s, parts, MARGIN, no_error=True):
+        for r in optimize_witness(s, parts, no_error=True):
             assert r.converged and not _certified(r, s, 0.0), r.partition.text
 
 
@@ -186,10 +182,10 @@ def _solutions(monkeypatch) -> list[sdp.Solution]:
 
 def _search(s, mode: str) -> None:
     if mode == "genuine":
-        genuine_search(s, SearchConfig(s_level=4.0))
+        genuine_search(s, s_level=4.0)
     else:
         no_error = mode == "margin"
-        optimize_witness(s, bipartitions(s.n), MARGIN, no_error=no_error)
+        optimize_witness(s, bipartitions(s.n), no_error=no_error)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +223,7 @@ def test_genuine_search_memory_stays_small():
     s = _network_state(6, 23)
     tracemalloc.start()
     try:
-        genuine_search(s, SearchConfig())
+        genuine_search(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from cvwitness.bounds import block_indices
 from cvwitness.partitions import (
     Partition,
     PartitionError,
@@ -89,11 +88,11 @@ def test_labels_match_block_membership():
 
 def test_cached_block_arrays_are_read_only():
     p = parse_partition("13|24", 4)
-    for array in (p.labels, free_mask(p), block_indices(p)[0]):
+    for array in (p.labels, free_mask(p), p.indices[0]):
         with pytest.raises(ValueError):
             array[0] = 1
     assert p.labels.tolist() == [0, 1, 0, 1]
-    assert [idx.tolist() for idx in block_indices(p)] == [[0, 2], [1, 3]]
+    assert [idx.tolist() for idx in p.indices] == [[0, 2], [1, 3]]
 
 
 def test_all_partitions_bell_numbers():

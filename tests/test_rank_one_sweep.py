@@ -15,7 +15,6 @@ import pytest
 
 from cvwitness import (
     Partition,
-    SearchConfig,
     ZeroSigma,
     bipartitions,
     make_state,
@@ -49,43 +48,41 @@ def _assert_same(a, b) -> None:
     assert np.array_equal(a.certificate.certificate_P, b.certificate.certificate_P)
 
 
+# Every draw is standard normal, named "normal" in the test ids.
+NORMAL = ["False-normal", "True-normal"]
+
+
 @pytest.mark.parametrize(
-    "name, distribution, no_error",
+    "name, no_error",
     [
-        ("klev4", "normal", False),
-        ("klev4", "uniform", False),
-        ("ppt4", "normal", True),
+        pytest.param("klev4", False, id="klev4-normal-False"),
+        pytest.param("ppt4", True, id="ppt4-normal-True"),
     ],
 )
-def test_sweep_equals_per_partition_calls(request, name, distribution, no_error):
+def test_sweep_equals_per_partition_calls(request, name, no_error):
     state = request.getfixturevalue(name)
     parts = _parts()
-    cfg = SearchConfig(trials=3 * BATCH + 17, seed=41, distribution=distribution)
+    draws = dict(trials=3 * BATCH + 17, seed=41)
     singles = [
-        random_rank_one_search(state, p, cfg, threads=1, no_error=no_error)
+        random_rank_one_search(state, p, **draws, threads=1, no_error=no_error)
         for p in parts
     ]
     for threads in (1, 2):
         swept = random_rank_one_search(
-            state, parts, cfg, threads=threads, no_error=no_error
+            state, parts, **draws, threads=threads, no_error=no_error
         )
         assert len(swept) == len(parts)
         for a, b in zip(swept, singles):
             _assert_same(a, b)
 
 
-def _oracle_winners(
-    state, parts, seed: int, trials: int, distribution: str, no_error: bool = False
-):
+def _oracle_winners(state, parts, seed: int, trials: int, no_error: bool = False):
     n = state.n
     draws = []
     for b in range((trials + BATCH - 1) // BATCH):
         gen = np.random.Generator(np.random.Philox(key=[seed, b]))
         size = min(BATCH, trials - b * BATCH)
-        if distribution == "normal":
-            draws.append(gen.standard_normal((size, 2 * n)))
-        else:
-            draws.append(gen.uniform(-1.0, 1.0, (size, 2 * n)))
+        draws.append(gen.standard_normal((size, 2 * n)))
     Z = np.vstack(draws)
     H, G = Z[:, :n], Z[:, n:]
     gval = ((H @ state.gamma_xx) * H).sum(axis=1) + ((G @ state.gamma_pp) * G).sum(
@@ -108,13 +105,12 @@ def _oracle_winners(
     return winners
 
 
-@pytest.mark.parametrize("distribution", ["normal", "uniform"])
-def test_sweep_matches_plain_numpy_oracle(klev4, distribution):
+@pytest.mark.parametrize("seed", [pytest.param(58, id="normal")])
+def test_sweep_matches_plain_numpy_oracle(klev4, seed):
     parts = _parts()
-    seed, trials = 58, 2 * BATCH + 5
-    cfg = SearchConfig(trials=trials, seed=seed, distribution=distribution)
-    reports = random_rank_one_search(klev4, parts, cfg, threads=2)
-    winners = _oracle_winners(klev4, parts, seed, trials, distribution)
+    trials = 2 * BATCH + 5
+    reports = random_rank_one_search(klev4, parts, trials=trials, seed=seed, threads=2)
+    winners = _oracle_winners(klev4, parts, seed, trials)
     for r, (h, g, score) in zip(reports, winners):
         assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
         assert np.array_equal(r.witness.P, np.outer(g, g)), r.partition.text
@@ -122,19 +118,18 @@ def test_sweep_matches_plain_numpy_oracle(klev4, distribution):
 
 
 def test_sweep_empty_list_and_bad_input(klev4, monkeypatch):
-    cfg = SearchConfig(trials=100)
     with monkeypatch.context() as m:
         m.setattr(np.random, "Philox", None)  # any draw would fail
-        assert random_rank_one_search(klev4, [], cfg) == []
+        assert random_rank_one_search(klev4, [], trials=100) == []
     mixed = [parse_partition("1|234", 4), parse_partition("1|23", 3)]
     with pytest.raises(ValueError):
-        random_rank_one_search(klev4, mixed, cfg)
+        random_rank_one_search(klev4, mixed, trials=100)
     with pytest.raises(ValueError):
-        random_rank_one_search(klev4, bipartitions(4), cfg, threads=0)
+        random_rank_one_search(klev4, bipartitions(4), trials=100, threads=0)
     g = 0.5 * np.eye(4)
     exact = make_state(g, g, np.zeros((4, 4)), np.zeros((4, 4)))
     with pytest.raises(ZeroSigma):
-        random_rank_one_search(exact, bipartitions(4), cfg)
+        random_rank_one_search(exact, bipartitions(4), trials=100)
 
 
 def test_all_zero_error_model_is_refused_before_any_draw(klev4, monkeypatch):
@@ -167,9 +162,8 @@ def _six_mode_state():
 
 
 @pytest.mark.parametrize("trials", [17, 64, 3 * BATCH + 17])
-@pytest.mark.parametrize("distribution", ["normal", "uniform"])
-@pytest.mark.parametrize("no_error", [False, True])
-def test_pruned_sweep_matches_oracle_on_six_modes(trials, distribution, no_error):
+@pytest.mark.parametrize("no_error", [False, True], ids=NORMAL)
+def test_pruned_sweep_matches_oracle_on_six_modes(trials, no_error):
     # Fewer trials than the probe, exactly the probe, and a partial last
     # batch; the finest partition's score is the trial bound up to its slack.
     state = _six_mode_state()
@@ -178,11 +172,10 @@ def test_pruned_sweep_matches_oracle_on_six_modes(trials, distribution, no_error
         parse_partition("12|34|56", 6),
     ]
     seed = 77
-    winners = _oracle_winners(state, parts, seed, trials, distribution, no_error)
-    cfg = SearchConfig(trials=trials, seed=seed, distribution=distribution)
+    winners = _oracle_winners(state, parts, seed, trials, no_error)
     for threads in (1, 2):
         reports = random_rank_one_search(
-            state, parts, cfg, threads=threads, no_error=no_error
+            state, parts, trials=trials, seed=seed, threads=threads, no_error=no_error
         )
         for r, (h, g, score) in zip(reports, winners):
             assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
@@ -211,20 +204,16 @@ def _tile_edge_case(request, name: str):
 
 @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, BATCH + 4097])
 @pytest.mark.parametrize("name", ["one-mode", "klev4", "twelve"])
-@pytest.mark.parametrize("distribution", ["normal", "uniform"])
-@pytest.mark.parametrize("no_error", [False, True])
-def test_winners_match_oracle_at_tile_edges(
-    request, trials, name, distribution, no_error
-):
+@pytest.mark.parametrize("no_error", [False, True], ids=NORMAL)
+def test_winners_match_oracle_at_tile_edges(request, trials, name, no_error):
     # One trial, one short of a 4096-trial tile, one tile exactly, one past
     # it, and a second batch that ends one past a tile.
     state, parts = _tile_edge_case(request, name)
     seed = 1009
-    winners = _oracle_winners(state, parts, seed, trials, distribution, no_error)
-    cfg = SearchConfig(trials=trials, seed=seed, distribution=distribution)
+    winners = _oracle_winners(state, parts, seed, trials, no_error)
     for threads in (1, 2):
         reports = random_rank_one_search(
-            state, parts, cfg, threads=threads, no_error=no_error
+            state, parts, trials=trials, seed=seed, threads=threads, no_error=no_error
         )
         for r, (h, g, _) in zip(reports, winners):
             assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
@@ -235,10 +224,9 @@ def test_batch_memory_stays_near_one_draw(klev4):
     # One 65536-trial batch draws 65536 x 2n doubles; the rest of the batch
     # (G, sigma, bounds and the scored candidates) must stay well below that.
     draw = BATCH * 8 * 8
-    cfg = SearchConfig(trials=BATCH, seed=13)
     tracemalloc.start()
     try:
-        random_rank_one_search(klev4, bipartitions(4), cfg, threads=1)
+        random_rank_one_search(klev4, bipartitions(4), trials=BATCH, seed=13, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,11 +308,11 @@ def test_pool_never_outnumbers_cpus_or_batches(klev4, monkeypatch):
         monkeypatch.setattr(witness.os, "cpu_count", lambda: 64)
         assert witness._resolve_threads(None) == 1
     p = parse_partition("1|234", 4)
-    one = random_rank_one_search(klev4, p, SearchConfig(trials=BATCH), threads=2)
+    one = random_rank_one_search(klev4, p, trials=BATCH, threads=2)
     assert started == []
-    two = random_rank_one_search(klev4, p, SearchConfig(trials=BATCH + 1), threads=8)
+    two = random_rank_one_search(klev4, p, trials=BATCH + 1, threads=8)
     assert started == [2]
-    _assert_same(one, random_rank_one_search(klev4, p, SearchConfig(trials=BATCH)))
+    _assert_same(one, random_rank_one_search(klev4, p, trials=BATCH))
     assert two.s >= one.s
 
 
@@ -352,7 +340,7 @@ def test_both_sweep_branches_match_oracle(request, name):
     no_error = name == "ppt4"
     parts = bipartitions(4)
     seed, trials = 5, 2 * BATCH + 17
-    winners = _oracle_winners(state, parts, seed, trials, "normal", no_error)
+    winners = _oracle_winners(state, parts, seed, trials, no_error)
     positive = {p.text for p, (_, _, score) in zip(parts, winners) if score > 0}
     if name == "pair-vacua":
         assert positive == {"1|234", "2|134", "13|24", "14|23"}
@@ -360,10 +348,9 @@ def test_both_sweep_branches_match_oracle(request, name):
         assert positive == set()
     else:
         assert 0 < len(positive) < len(parts)
-    cfg = SearchConfig(trials=trials, seed=seed)
     for threads in (1, 2):
         reports = random_rank_one_search(
-            state, parts, cfg, threads=threads, no_error=no_error
+            state, parts, trials=trials, seed=seed, threads=threads, no_error=no_error
         )
         for r, (h, g, _) in zip(reports, winners):
             assert np.array_equal(r.witness.h, h), r.partition.text
@@ -385,8 +372,9 @@ def test_rank_one_reports_make_no_eigendecomposition(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     state = _network_state(10, 5)
-    cfg = SearchConfig(trials=BATCH, seed=3)
-    reports = random_rank_one_search(state, bipartitions(10), cfg, threads=1)
+    reports = random_rank_one_search(
+        state, bipartitions(10), trials=BATCH, seed=3, threads=1
+    )
     table = witness.reports_table(reports)
     assert len(reports) == 511 and "h=(" in table
     assert calls == []
@@ -402,10 +390,9 @@ def test_new_paths_stay_near_one_draw(request, name):
     else:
         state, parts = _six_mode_state(), bipartitions(6)
     draw = BATCH * 2 * state.n * 8
-    cfg = SearchConfig(trials=BATCH, seed=13)
     tracemalloc.start()
     try:
-        random_rank_one_search(state, parts, cfg, threads=1)
+        random_rank_one_search(state, parts, trials=BATCH, seed=13, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

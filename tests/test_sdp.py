@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvwitness import SearchConfig, genuine_search, optimize_witness, sdp
+from cvwitness import genuine_search, optimize_witness, sdp
 from cvwitness.partitions import bipartitions
 
 
@@ -97,8 +97,8 @@ def test_solution_W_is_a_dual_point_of_the_witness_programs(monkeypatch, klev4, 
         return sol
 
     monkeypatch.setattr(sdp, "solve", spy)
-    genuine_search(klev4, SearchConfig(s_level=4.0))
-    optimize_witness(ppt4, bipartitions(4), SearchConfig(s_level=0.0), no_error=True)
+    genuine_search(klev4, s_level=4.0)
+    optimize_witness(ppt4, bipartitions(4), no_error=True)
     optimize_witness(klev4, bipartitions(4))
     assert len(runs) == 3
     for b, blocks, sol in runs:
@@ -135,8 +135,8 @@ def test_linear_cone_matches_its_matrix_form(monkeypatch, klev4, ppt4):
         return solve(b, blocks, y0, group)
 
     monkeypatch.setattr(sdp, "solve", spy)
-    genuine_search(klev4, SearchConfig(s_level=4.0))
-    optimize_witness(ppt4, bipartitions(4), SearchConfig(s_level=0.0), no_error=True)
+    genuine_search(klev4, s_level=4.0)
+    optimize_witness(ppt4, bipartitions(4), no_error=True)
     assert len(runs) == 2
     for b, blocks, y0, group in runs:
         linear = [j for j, block in enumerate(blocks) if block.F0.shape == (1, 1)]
@@ -183,7 +183,7 @@ def test_numerical_breakdown_returns_the_best_feasible_iterate(monkeypatch, klev
         return solve(b, blocks, y0, group)
 
     monkeypatch.setattr(sdp, "solve", spy)
-    genuine_search(klev4, SearchConfig(s_level=4.0))
+    genuine_search(klev4, s_level=4.0)
     ((b, blocks, y0, group),) = runs
     calls = []
 

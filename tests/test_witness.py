@@ -11,7 +11,6 @@ from cvwitness.partitions import Partition, bipartitions, parse_partition
 from cvwitness.states import make_state
 from cvwitness.witness import (
     MissingErrorModel,
-    SearchConfig,
     ZeroSigma,
     _describe_witness,
     condition_E,
@@ -124,60 +123,60 @@ def test_min_violation_across_bipartitions(klev4, genuine_witness):
 
 
 def test_random_search_deterministic_and_thread_invariant(klev4):
-    cfg = SearchConfig(trials=3 * 65536 + 17, seed=123)
+    draws = dict(trials=3 * 65536 + 17, seed=123)
     p = parse_partition("1|234", 4)
-    a = random_rank_one_search(klev4, p, cfg, threads=1)
-    b = random_rank_one_search(klev4, p, cfg, threads=4)
-    c = random_rank_one_search(klev4, p, cfg)
+    a = random_rank_one_search(klev4, p, **draws, threads=1)
+    b = random_rank_one_search(klev4, p, **draws, threads=4)
+    c = random_rank_one_search(klev4, p, **draws)
     assert a.s == b.s == c.s
     assert np.array_equal(a.witness.X, b.witness.X)
     assert np.array_equal(a.witness.P, c.witness.P)
 
 
 def test_random_search_finds_strong_violations(klev4):
-    cfg = SearchConfig(trials=131072, seed=7)
-    r = random_rank_one_search(klev4, parse_partition("1|234", 4), cfg)
+    p = parse_partition("1|234", 4)
+    r = random_rank_one_search(klev4, p, trials=131072, seed=7)
     assert r.s is not None and r.s > 6
     # winner is rank one, so the closed form applies to its vectors
     vals = np.linalg.eigvalsh(r.witness.X)
     assert vals[-1] > 0 and abs(vals[0]) < 1e-9 * vals[-1]
 
 
-def test_random_search_uniform_distribution(klev4):
-    cfg = SearchConfig(trials=65536, seed=7, distribution="uniform")
-    r = random_rank_one_search(klev4, parse_partition("12|34", 4), cfg)
-    assert r.s is not None and r.s > 3
-
-
 def test_random_search_margin_mode_cannot_see_ppt_pair(ppt4):
     # Rank-one witnesses never detect the (2,2) entanglement of this state.
-    cfg = SearchConfig(trials=65536, seed=0, s_level=0.0)
-    r = random_rank_one_search(ppt4, parse_partition("12|34", 4), cfg, no_error=True)
+    p = parse_partition("12|34", 4)
+    r = random_rank_one_search(ppt4, p, trials=65536, seed=0, no_error=True)
     assert r.sigma is None and r.s is None
     assert r.bound - r.G <= 1e-9
     with pytest.raises(MissingErrorModel):
-        random_rank_one_search(ppt4, parse_partition("12|34", 4), cfg)
+        random_rank_one_search(ppt4, p, trials=65536, seed=0)
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(trials=0)
-    with pytest.raises(ValueError):
-        SearchConfig(distribution="cauchy")
+def test_search_config_validation(klev4, ppt4, monkeypatch):
+    # Each search takes only the inputs it reads, and checks them before
+    # any draw or solve.
+    p = parse_partition("12|34", 4)
+    with pytest.raises(MissingErrorModel):
+        optimize_witness(ppt4, p)
+    assert optimize_witness(ppt4, p, no_error=True).s is None
+    monkeypatch.setattr(np.random, "Philox", None)  # any draw would fail
+    for bad in (dict(trials=0), dict(seed=-1), dict(seed=2**64)):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            random_rank_one_search(klev4, p, **bad)
 
 
 @pytest.mark.parametrize("level", [-1.0, float("nan")])
 def test_negative_or_nan_level_rejected(klev4, genuine_witness, level):
     with pytest.raises(ValueError, match="s_level"):
-        SearchConfig(s_level=level)
+        genuine_search(klev4, s_level=level)
     with pytest.raises(ValueError, match="s_level"):
         condition_E(genuine_witness, klev4, parse_partition("1|234", 4), level)
 
 
 def test_optimize_witness_certifies(klev4):
-    cfg = SearchConfig(seed=3, s_level=6.0)
     p = parse_partition("1|234", 4)
-    r = optimize_witness(klev4, p, cfg)
+    r = optimize_witness(klev4, p)
     assert r.s is not None and r.s >= 6.0
     assert r.converged
     # normalization held exactly at the reported witness
@@ -185,35 +184,29 @@ def test_optimize_witness_certifies(klev4):
         np.sum(r.witness.X * klev4.gamma_xx) + np.sum(r.witness.P * klev4.gamma_pp)
     )
     assert G == pytest.approx(1.0, abs=1e-9)
-    r2 = optimize_witness(klev4, p, cfg)
+    r2 = optimize_witness(klev4, p)
     assert r2.s == r.s
 
 
 def test_optimize_witness_margin_mode(ppt4):
-    cfg = SearchConfig(seed=0, s_level=0.0)
-    r = optimize_witness(ppt4, parse_partition("12|34", 4), cfg)
+    r = optimize_witness(ppt4, parse_partition("12|34", 4), no_error=True)
     assert r.sigma is None and r.s is None
     assert r.bound - r.G > 1e-6  # the convex search does detect it
-    with pytest.raises(ValueError):
-        optimize_witness(ppt4, parse_partition("12|34", 4), SearchConfig(), no_error=True)
 
 
 def test_optimize_witness_margin_mode_zero_trace_state():
     zero = make_state(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="nonpositive G"):
-        optimize_witness(
-            zero, parse_partition("1|2", 2), SearchConfig(s_level=0), no_error=True
-        )
+        optimize_witness(zero, parse_partition("1|2", 2), no_error=True)
 
 
 def test_optimize_witness_needs_model_for_positive_level(ppt4):
     with pytest.raises(MissingErrorModel):
-        optimize_witness(ppt4, parse_partition("12|34", 4), SearchConfig(s_level=6.0))
+        optimize_witness(ppt4, parse_partition("12|34", 4))
 
 
 def test_genuine_search_from_reference_start(klev4, genuine_witness):
-    cfg = SearchConfig(seed=0, s_level=4.0)
-    found, w, reports = genuine_search(klev4, cfg)
+    found, w, reports = genuine_search(klev4, s_level=4.0)
     assert found
     assert len(reports) == 7
     smin = min(r.s for r in reports)
@@ -222,21 +215,19 @@ def test_genuine_search_from_reference_start(klev4, genuine_witness):
     )
     assert smin >= 10.6 and smin >= reference
     for r in reports:
-        assert r.s >= cfg.s_level - 1e-6
+        assert r.s >= 4.0 - 1e-6
         rechecked = separability_bound(w, r.partition).value
         assert rechecked == pytest.approx(r.bound, abs=1e-9)
 
 
 def test_genuine_search_from_scratch(klev4):
-    cfg = SearchConfig(seed=0, s_level=4.0)
-    found, w, reports = genuine_search(klev4, cfg)
+    found, w, reports = genuine_search(klev4, s_level=4.0)
     assert found
     assert all(r.s >= 4.0 - 1e-6 for r in reports)
 
 
 def test_genuine_search_negative_control(vacuum4):
-    cfg = SearchConfig(seed=0, s_level=4.0)
-    found, _, reports = genuine_search(vacuum4, cfg)
+    found, _, reports = genuine_search(vacuum4, s_level=4.0)
     assert not found
     assert all(r.s <= 1e-6 for r in reports)
 
@@ -245,7 +236,7 @@ def test_genuine_search_needs_three_modes():
     g = 0.5 * np.eye(2)
     s = make_state(g, g, 0.01 * np.ones((2, 2)), 0.01 * np.ones((2, 2)))
     with pytest.raises(ValueError):
-        genuine_search(s, SearchConfig())
+        genuine_search(s)
 
 
 def test_reports_serialization(klev4, genuine_witness):

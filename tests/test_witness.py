@@ -142,6 +142,28 @@ def test_random_search_finds_strong_violations(klev4):
     assert vals[-1] > 0 and abs(vals[0]) < 1e-9 * vals[-1]
 
 
+def test_random_search_uniform_distribution(klev4):
+    # The score depends only on the direction of (h, g), and the trials are
+    # isotropic standard normal rows: the search samples witness directions
+    # uniformly on the unit sphere of R^2n.
+    p = parse_partition("12|34", 4)
+    r = random_rank_one_search(klev4, p, trials=65536, seed=7)
+    assert r.s is not None and r.s > 3
+    Z = np.random.Generator(np.random.Philox(key=[7, 0])).standard_normal((65536, 8))
+    z = np.concatenate([r.witness.h, r.witness.g])
+    assert (Z == z).all(axis=1).any()  # the winner is one of the draws
+    for c in (1.0 / np.linalg.norm(z), 3.0):
+        w = WitnessPair.rank_one(c * r.witness.h, c * r.witness.g)
+        assert violation_score(w, klev4, p).s == pytest.approx(r.s, rel=1e-12)
+    U = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    # Per-coordinate standard errors are about 1.4e-3 (mean), 6e-4 (second
+    # moments) and 3e-4 (fourth moment) at this many rows. E[u_i^4] on the
+    # sphere is 3/(d(d+2)); normalised cube draws sit about 9e-3 below it.
+    assert np.abs(U.mean(axis=0)).max() < 0.01
+    assert np.abs(U.T @ U / len(U) - np.eye(8) / 8).max() < 0.005
+    assert np.abs((U**4).mean(axis=0) - 3 / 80).max() < 0.003
+
+
 def test_random_search_margin_mode_cannot_see_ppt_pair(ppt4):
     # Rank-one witnesses never detect the (2,2) entanglement of this state.
     p = parse_partition("12|34", 4)

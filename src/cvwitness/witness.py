@@ -4,11 +4,11 @@ Measured covariances come with per-element standard deviations, so a witness
 value G is only trusted up to sigma(X, P). A partition is refuted at level s
 when G + s*sigma still falls below the separability bound B_I. This module
 scores witnesses, converts levels to confidences, and finds violating
-witnesses: random rank-one sampling, and the exact optimum per partition or
-for genuine multipartite entanglement from one convex program (see _lift).
-The optimum comes with the solver's duality gap, and the seed does not
-change it. Every search ends in _report, which rescores its winner, and
-in _certified, the one rule for whether a report certifies.
+witnesses: random rank-one sampling, and the exact optimum of a convex
+program by raw margin per partition (_werner_wolf) or by score, per partition
+or for genuine multipartite entanglement (_lift), with the solver's duality
+gap; the seed does not change it. Every search ends in _report, which
+rescores its winner, and in _certified, the one rule for whether it certifies.
 """
 from __future__ import annotations
 
@@ -303,24 +303,65 @@ def random_rank_one_search(
     return reports[0] if isinstance(p, Partition) else reports
 
 
-_NONPOSITIVE_G = "witness has nonpositive G; cannot normalize"
+def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
+    """The Werner-Wolf program per cut, each cut a solver group: one (witness
+    at G = 1, gap, converged, (t, [a_b], [c_b])) per cut.
+
+    max t s.t. gxx - (+)a_b, gpp - (+)c_b, [[a_b, (t/2) I], [(t/2) I, c_b]]
+    PSD (Werner & Wolf, PRL 86, 3658 (2001)); 1/t* is the least r with r gamma
+    I-separable. The dual on the two n x n blocks, at G = t*, minimizes G s.t.
+    B_I >= 1, so the margin at G = 1 is 1/t* - 1 and the gap |1/t - 1/G| is in
+    margin units. It starts at a_b = c_b = eps I, t = eps, eps half the least
+    eigenvalue of gamma, which must be positive definite (else ValueError).
+    """
+    low = min(float(np.linalg.eigvalsh(g)[0]) for g in (s.gamma_xx, s.gamma_pp))
+    if not low > 0:
+        raise ValueError(f"gamma is not positive definite ({low:.3g}): nonpositive G")
+    eps, y0, gain, group, blocks, cuts_at = low / 2, [], [], [], [], []
+    for label, q in enumerate(cuts):
+        ti = len(y0)  # t's index
+        r, e = np.nonzero(np.triu(q.labels[:, None] == q.labels))  # within blocks
+        ids = np.zeros((2, s.n, s.n), dtype=int)  # the variables of (+)a_b, (+)c_b
+        ids[:, r, e] = ids[:, e, r] = ti + 1 + np.arange(2 * r.size).reshape(2, -1)
+        y0 += [eps, *np.tile(eps * (r == e), 2)]
+        gain += [1.0] + [0.0] * (2 * r.size)
+        group += [label] * (1 + 2 * r.size)
+        cuts_at.append((ti, len(blocks), ids))
+        for g, v in zip((s.gamma_xx, s.gamma_pp), ids):
+            blocks.append(sdp.Block(g, v[r, e], r, e, -np.ones(r.size)))
+        for idx in q.indices:
+            k, d = idx.size, np.arange(idx.size)
+            i, j = np.triu_indices(k)
+            v = np.concatenate([*ids[:, idx[i], idx[j]], np.full(k, ti)])
+            rows, cols = np.concatenate([i, k + i, d]), np.concatenate([j, k + j, k + d])
+            coef = np.repeat([1.0, 1.0, 0.5], [i.size, i.size, k])
+            blocks.append(sdp.Block(np.zeros((2 * k, 2 * k)), v, rows, cols, coef))
+    sol = sdp.solve(np.array(gain), blocks, np.array(y0), np.array(group))
+    out = []
+    for q, (ti, j, ids) in zip(cuts, cuts_at):
+        X, P, t = sol.W[j], sol.W[j + 1], float(sol.y[ti])
+        G = float(np.sum(s.gamma_xx * X) + np.sum(s.gamma_pp * P))
+        a, c = ([sol.y[m[np.ix_(idx, idx)]] for idx in q.indices] for m in ids)
+        witness = WitnessPair((1.0 / G) * X, (1.0 / G) * P)
+        out.append((witness, abs(1.0 / t - 1.0 / G), sol.converged, (t, a, c)))
+    return out
 
 
 def _lift(
-    s: CVState, cuts: Sequence[Partition], shared: bool, score: bool
+    s: CVState, cuts: Sequence[Partition], shared: bool
 ) -> list[tuple[WitnessPair, float, bool]]:
-    """Solve the lifted SDP: one (witness at G = 1, gap, converged) per copy.
+    """Solve the lifted score SDP: one (witness at G = 1, gap, converged) per copy.
 
     B(X_bb, P_bb) = max{tr Y : [[X_bb, Y], [Y^T, P_bb]] PSD}, so one Y per
     block makes B_I linear, with X, P PSD. shared=True gives one witness for
-    all cuts, otherwise one copy per cut. Margin mode maximizes
-    sum_b tr Y_b - 1 subject to G <= 1. Score mode maximizes t subject to
+    all cuts, otherwise one copy per cut. It maximizes t subject to
     sigma(X, P) <= 1 (an arrow LMI) and sum_b tr Y_Ib - G >= t for every cut
     I of the copy. The score is scale invariant, so t is the best min_I s_I
     if that is positive; else t = 0 and the witness only shows s <= 0. Each
-    cut's Y, or each copy of its own, is one group of the solver. Score mode
-    raises ZeroSigma before solving when every sigma entry is 0.
+    cut's Y, or each copy of its own, is one group of the solver. It raises
+    ZeroSigma before solving when every sigma entry is 0.
     """
+    _require_model(s, score=True)
     n = s.n
     iu = np.triu_indices(n)
     nt = iu[0].size
@@ -329,15 +370,8 @@ def _lift(
     twice = np.tile(np.where(iu[0] == iu[1], 1.0, 2.0), 2)  # off-diagonals count twice
     gam = twice * np.concatenate([s.gamma_xx[iu], s.gamma_pp[iu]])
     diag = (twice == 1.0) * 1.0
-    if score:
-        _require_model(s, score=True)
-        sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
-        eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
-    else:
-        trace = float(gam @ diag)  # tr gxx + tr gpp
-        if not trace > 0:
-            raise ValueError(_NONPOSITIVE_G)
-        eps = 0.5 / trace  # G = 1/2
+    sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
+    eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
     gain, y0, group, blocks, spans = [], [], [], [], []
 
     def var(count, label, init=0.0, b=0.0):
@@ -353,20 +387,16 @@ def _lift(
         first = (sum(map(len, gain)), len(blocks))
         label = -1 if shared else c
         XP = var(2 * nt, label, eps * diag)
-        t = var(1, label, -eps * float(gam @ diag) - 1.0, 1.0) if score else XP[:0]
+        t = var(1, label, -eps * float(gam @ diag) - 1.0, 1.0)
         block(np.zeros((n, n)), XP[:nt], *iu, np.ones(nt))
         block(np.zeros((n, n)), XP[nt:], *iu, np.ones(nt))
-        if score:
-            arrow = np.arange(1, 2 * nt + 1)
-            block(np.eye(2 * nt + 1), XP, 0 * arrow, arrow, sd)
-        else:
-            block(1.0, XP, 0 * XP, 0 * XP, -gam)
+        block(np.eye(2 * nt + 1), XP, 0 * XP, 1 + np.arange(2 * nt), sd)  # sigma <= 1
         for j, q in enumerate(members):
-            terms = [(XP, -gam), (t, -np.ones(t.size))]
+            terms = [(XP, -gam), (t, -np.ones(1))]
             for idx in q.indices:
                 k = idx.size
                 a, e = np.divmod(np.arange(k * k), k)
-                Y = var(k * k, j if shared else c, 0.0, (a == e) * (not score))
+                Y = var(k * k, j if shared else c)
                 up = a <= e
                 sub = tri[idx[a[up]], idx[e[up]]]
                 v = np.concatenate([XP[sub], XP[nt + sub], Y])
@@ -374,9 +404,8 @@ def _lift(
                 cols = np.concatenate([e[up], k + e[up], k + e])
                 block(np.zeros((2 * k, 2 * k)), v, rows, cols, np.ones(v.size))
                 terms.append((Y[a == e], np.ones(k)))
-            if score:
-                v, coef = map(np.concatenate, zip(*terms))
-                block(0.0, v, 0 * v, 0 * v, coef)
+            v, coef = map(np.concatenate, zip(*terms))
+            block(0.0, v, 0 * v, 0 * v, coef)
         spans.append(first + (sum(map(len, gain)), len(blocks)))
 
     b = np.concatenate(gain)
@@ -387,7 +416,7 @@ def _lift(
         xp = sol.y[v0 : v0 + 2 * nt]
         G = float(gam @ xp)
         if not G > 0:
-            raise ValueError(_NONPOSITIVE_G)
+            raise ValueError("witness has nonpositive G; cannot normalize")
         # (1/G) * xp rounds unlike xp / G, and saved reports carry its digits
         X, P = (1.0 / G) * xp[:nt][tri], (1.0 / G) * xp[nt:][tri]
         gap = abs(dual - float(b[v0:v1] @ sol.y[v0:v1]))
@@ -403,11 +432,11 @@ def optimize_witness(
 ) -> ViolationReport | list[ViolationReport]:
     """The optimal witness for each partition, with its duality gap.
 
-    It maximizes the score s = (B_I - G)/sigma, which needs an error model
-    (else MissingErrorModel), or with no_error=True the raw margin B_I - G
-    (the report then carries the margin only). Witnesses come at G = 1: a
-    score is scale invariant, and a margin is compared with the gap, which
-    does not scale with the witness. Each is rescored through
+    It maximizes the score s = (B_I - G)/sigma (_lift), which needs an error
+    model (else MissingErrorModel), or with no_error=True the raw margin B_I -
+    G (_werner_wolf), and the report carries the margin only. Witnesses come
+    at G = 1: a score is scale invariant, and a margin is compared with the
+    gap, which does not scale with the witness. Each is rescored through
     violation_score or separability_bound; the gap says how far from the
     optimum it can be. p is one partition (one report) or a sequence (one
     report each, in order, each with its own witness).
@@ -415,9 +444,10 @@ def optimize_witness(
     parts = _partition_list(p, s.n)
     if not parts:
         return []
+    solved = _werner_wolf(s, parts) if no_error else _lift(s, parts, False)
     reports = [
         _report(w, s, q, not no_error, converged=ok, gap=gap)
-        for q, (w, gap, ok) in zip(parts, _lift(s, parts, False, not no_error))
+        for q, (w, gap, ok, *_) in zip(parts, solved)
     ]
     return reports[0] if isinstance(p, Partition) else reports
 
@@ -436,7 +466,7 @@ def genuine_search(
     if s.n < 3:
         raise ValueError(f"genuine search needs n >= 3, got {s.n}")
     bips = bipartitions(s.n)
-    ((witness, gap, ok),) = _lift(s, bips, True, True)
+    ((witness, gap, ok),) = _lift(s, bips, True)
     reports = [_report(witness, s, q, True, converged=ok, gap=gap) for q in bips]
     return all(_certified(r, s, s_level) for r in reports), witness, reports
 

@@ -17,9 +17,10 @@ import pytest
 from cvwitness import sdp
 from cvwitness.bounds import WitnessPair, lmi_separability_test
 from cvwitness.cli import _certified, main
-from cvwitness.partitions import bipartitions, parse_partition
+from cvwitness.partitions import Partition, bipartitions, parse_partition
 from cvwitness.states import make_state
 from cvwitness.witness import (
+    _werner_wolf,
     genuine_search,
     optimize_witness,
     random_rank_one_search,
@@ -84,6 +85,57 @@ def test_margin_mode_certifies_every_lmi_flagged_cut(ppt4, klev4):
             assert _certified(r, s, 0.0), (r.partition.text, r.bound - r.G, r.gap)
         flagged_cuts += len(flagged)
     assert flagged_cuts > 500
+
+
+def _separable_state(gen: np.random.Generator, n: int):
+    # A random cut with a pure block on each side (gamma_pp = gamma_xx^-1 / 4)
+    # plus PSD noise: separable across that cut, and so t* >= 1 there.
+    modes = gen.permutation(n) + 1
+    ends = np.sort(gen.choice(np.arange(1, n), gen.integers(1, n), replace=False))
+    cut = Partition.of(np.split(modes, ends), n)
+    gxx, gpp = np.zeros((2, n, n))
+    for idx in cut.indices:
+        R = gen.standard_normal((idx.size, idx.size))
+        A = R @ R.T + 0.2 * np.eye(idx.size)
+        gxx[np.ix_(idx, idx)], gpp[np.ix_(idx, idx)] = A, np.linalg.inv(A) / 4
+    for g in (gxx, gpp):
+        R = gen.standard_normal((n, n))
+        g += gen.uniform(0.01, 0.1) * R @ R.T
+    return make_state((gxx + gxx.T) / 2, (gpp + gpp.T) / 2), cut
+
+
+def _feasible_t(s, cut: Partition, primal) -> float:
+    # The margin-mode primal (t, a_b, c_b) checked by Cholesky factors of our
+    # own, which fail unless each matrix is positive definite: gamma_xx -
+    # (+)a_b, gamma_pp - (+)c_b and every [[a_b, (t/2) I], [(t/2) I, c_b]].
+    t, a, c = primal
+    for g, blocks in ((s.gamma_xx, a), (s.gamma_pp, c)):
+        direct = np.zeros((s.n, s.n))
+        for idx, m in zip(cut.indices, blocks):
+            direct[np.ix_(idx, idx)] = m
+        np.linalg.cholesky(g - direct)
+    for ab, cb in zip(a, c):
+        half = t / 2 * np.eye(len(ab))
+        np.linalg.cholesky(np.block([[ab, half], [half, cb]]))
+    return t
+
+
+def test_margin_mode_primal_is_a_separable_decomposition(vacuum4):
+    # A feasible (t, a_b, c_b) shows gamma / t is separable across the cut,
+    # so t <= t*. Separable states have t* >= 1; vacuum4 scaled by 1.01 has
+    # t* = 1.01 on every cut, since r gamma is physical only for r >= 1/1.01.
+    gen = np.random.default_rng(16)
+    low = np.inf
+    for i in range(200):
+        s, cut = _separable_state(gen, 2 + i % 4)
+        ((_, _, ok, primal),) = _werner_wolf(s, [cut])
+        low = min(low, _feasible_t(s, cut, primal))
+        assert ok
+    assert low >= 1 - 1e-7
+    scaled = make_state(1.01 * vacuum4.gamma_xx, 1.01 * vacuum4.gamma_pp)
+    cuts = bipartitions(4)
+    for cut, (_, _, ok, primal) in zip(cuts, _werner_wolf(scaled, cuts)):
+        assert ok and _feasible_t(scaled, cut, primal) == pytest.approx(1.01, abs=1e-8)
 
 
 def _run(capsys, *argv):
@@ -190,7 +242,7 @@ def _search(s, mode: str) -> None:
 
 @pytest.mark.parametrize(
     "name, mode, budget",
-    [("ppt4", "margin", 11), ("klev4", "genuine", 17), ("vacuum4", "genuine", 7)],
+    [("ppt4", "margin", 9), ("klev4", "genuine", 17), ("vacuum4", "genuine", 7)],
 )
 def test_iteration_budgets(request, monkeypatch, name, mode, budget):
     # Interior-point steps of the one solve behind each search.
@@ -202,8 +254,8 @@ def test_iteration_budgets(request, monkeypatch, name, mode, budget):
 
 def test_seeded_corpus_iteration_ceiling(monkeypatch):
     # 18 solves: n = 3..5, two seeds, genuine, margin and score mode. They
-    # take 308 steps in all; the ceiling leaves room for rounding that differs
-    # between BLAS builds.
+    # take 291 steps in all, 70 of them in margin mode; the ceiling leaves
+    # room for rounding that differs between BLAS builds.
     solutions = _solutions(monkeypatch)
     for n in (3, 4, 5):
         for seed in (100, 101):
@@ -211,7 +263,7 @@ def test_seeded_corpus_iteration_ceiling(monkeypatch):
             for mode in ("genuine", "margin", "score"):
                 _search(s, mode)
     assert len(solutions) == 18 and all(sol.converged for sol in solutions)
-    assert sum(sol.iterations for sol in solutions) <= 320
+    assert sum(sol.iterations for sol in solutions) <= 303
 
 
 def test_genuine_search_memory_stays_small():

@@ -86,9 +86,10 @@ def _dense(block: sdp.Block, m: int) -> np.ndarray:
 
 
 def test_solution_W_is_a_dual_point_of_the_witness_programs(monkeypatch, klev4, ppt4):
-    # The genuine program, margin mode over every ppt4 cut, and score mode
-    # per klev4 cut: each returned W is PSD, nearly dual feasible and has
-    # the dual objective the solver reports.
+    # The genuine program, the Werner-Wolf program of margin mode over every
+    # ppt4 cut, whose W on the two n x n blocks of a cut is its witness, and
+    # score mode per klev4 cut: each returned W is PSD, nearly dual feasible
+    # and has the dual objective the solver reports.
     runs, solve = [], sdp.solve
 
     def spy(b, blocks, y0, group):
@@ -120,14 +121,15 @@ def _as_matrix(block: sdp.Block) -> sdp.Block:
     return sdp.Block(F0, block.var, block.row, block.col, block.coef)
 
 
-def test_linear_cone_matches_its_matrix_form(monkeypatch, klev4, ppt4):
-    # The klev4 genuine program and ppt4 margin mode over every cut, solved
-    # again with each 1x1 block re-posed as a 2x2 matrix block, which the
-    # solver treats as a matrix: the same optimum, and each linear W the
-    # (0, 0) entry of its 2x2 W, whose (1, 1) entry is complementary to 1.
-    # The primals agree to 1e-9 relative (4e-10 measured). The duals agree
-    # only to the stopping rule: the klev4 program stalls with gaps of 7e-9
-    # and 2e-8, and its dual multipliers, about 0.5, differ by 3.3e-7.
+def test_linear_cone_matches_its_matrix_form(monkeypatch, klev4):
+    # The klev4 genuine program and klev4 score mode per cut, each with one
+    # linear row per cut, solved again with each 1x1 block re-posed as a 2x2
+    # matrix block, which the solver treats as a matrix: the same optimum,
+    # and each linear W the (0, 0) entry of its 2x2 W, whose (1, 1) entry is
+    # complementary to 1. The primals agree to 1e-9 relative (4.5e-10
+    # measured, in score mode). The duals agree only to the stopping rule:
+    # the genuine program stalls with gaps of 7e-9 and 2e-8, and its dual
+    # multipliers, about 0.5, differ by 3.3e-7; the score-mode ones are 1.
     runs, solve = [], sdp.solve
 
     def spy(b, blocks, y0, group):
@@ -136,7 +138,7 @@ def test_linear_cone_matches_its_matrix_form(monkeypatch, klev4, ppt4):
 
     monkeypatch.setattr(sdp, "solve", spy)
     genuine_search(klev4, s_level=4.0)
-    optimize_witness(ppt4, bipartitions(4), no_error=True)
+    optimize_witness(klev4, bipartitions(4))
     assert len(runs) == 2
     for b, blocks, y0, group in runs:
         linear = [j for j, block in enumerate(blocks) if block.F0.shape == (1, 1)]

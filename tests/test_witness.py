@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from cvwitness import sdp
 from cvwitness.bounds import WitnessPair, separability_bound
 from cvwitness.partitions import Partition, bipartitions, parse_partition
 from cvwitness.states import make_state
@@ -220,6 +222,19 @@ def test_optimize_witness_margin_mode_zero_trace_state():
     zero = make_state(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="nonpositive G"):
         optimize_witness(zero, parse_partition("1|2", 2), no_error=True)
+
+
+@pytest.mark.parametrize("low", [-1.0, 0.0])
+def test_margin_mode_refuses_a_block_that_is_not_positive_definite(monkeypatch, low):
+    # Either gamma block with eigenvalue low: refused before any solve, with
+    # no numerical warning on the way.
+    monkeypatch.setattr(sdp, "solve", None)  # any solve would fail
+    bad, eye, cut = np.diag([low, 1.0]), np.eye(2), parse_partition("1|2", 2)
+    for gxx, gpp in ((bad, eye), (eye, bad)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive definite"):
+                optimize_witness(make_state(gxx, gpp), cut, no_error=True)
 
 
 def test_optimize_witness_needs_model_for_positive_level(ppt4):

@@ -110,7 +110,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print(f"n = {n}")
         for key, v in cells.items():
             print(f"  {key} = {'-' if v is None else format(v, '.5f')}")
-        _write_json(args.json, lambda: json.dumps({"n": n, **cells}, indent=2))
+        _write_json(args.json, lambda: json.dumps({"n": n, **cells}))
         return 0
 
     p = _parse_partition_arg(args.partition, n)
@@ -132,7 +132,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "certificate_P": res.certificate_P.tolist(),
             }
         )
-    _write_json(args.json, lambda: json.dumps(payload, indent=2))
+    _write_json(args.json, lambda: json.dumps(payload))
     return 0
 
 
@@ -190,7 +190,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print("nothing detected")
     payload = {"physical": physical, "min_symplectic": smallest, "partitions": results}
-    _write_json(args.json, lambda: json.dumps(payload, indent=2))
+    _write_json(args.json, lambda: json.dumps(payload))
     return 1 if (physical and certified) else 0
 
 
@@ -351,7 +351,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     for line in lines:
         print(line)
     print("all values reproduced" if ok else "MISMATCHES found")
-    _write_json(args.json, lambda: json.dumps(payload, indent=2))
+    _write_json(args.json, lambda: json.dumps(payload))
     return 0 if ok else 1
 
 

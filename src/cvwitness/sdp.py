@@ -37,9 +37,13 @@ iteration is linear in the number of groups.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import _frozen
 
 # Stop at this relative duality gap and dual infeasibility; once past
 # _ACCEPT, also after _STALL iterations that do not improve on the best. The
@@ -85,12 +89,17 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return (A + _mT(A)) / 2.0
 
 
-class _Problem:
-    """The blocks in one flat vector, the l 1x1 blocks first, then the rest
-    stacked by size; with the index arrays that map y to Z(y), W to F*(W),
-    and (W, Z^-1) to the Schur complement."""
+# The _Structures that _Problem keeps, least recently used first, with sizes.
+_CACHE: OrderedDict[bytes, tuple[_Structure, int]] = OrderedDict()
+_CACHE_BYTES = 64 << 20
+_LOCK = threading.Lock()
 
-    def __init__(self, blocks: list[Block], group: np.ndarray):
+
+class _Structure:
+    """The index arrays of a _Problem, which map y to Z(y), W to F*(W) and
+    (W, Z^-1) to the Schur complement, for the terms where keep. Read-only."""
+
+    def __init__(self, blocks: list[Block], group: np.ndarray, keep: np.ndarray):
         m = group.size
         self.order = sorted(range(len(blocks)), key=lambda j: blocks[j].F0.shape[0])
         ordered = [blocks[j] for j in self.order]
@@ -101,19 +110,17 @@ class _Problem:
         self.spans = [(a, a + g * d * d, (g, d, d)) for a, g, d in shapes if d > 1]
         self.l = l = int(np.sum(dims == 1))
         self.N = int(dims.sum())  # sum_j tr(W_j Z_j) / N is mu
-        self.F0 = np.concatenate([np.ravel(blk.F0) for blk in ordered]).astype(float)
         self.size, self.m = int((dims**2).sum()), m
+        starts = np.cumsum([0] + [blk.var.size for blk in blocks])
+        term = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in self.order])
         blk = np.repeat(np.arange(len(ordered)), [b.var.size for b in ordered])
-        v, r, c, coef = (
-            np.concatenate([getattr(b, f) for b in ordered])
-            for f in ("var", "row", "col", "coef")
-        )
-        keep = coef != 0
-        blk, v, r, c, coef = blk[keep], v[keep], r[keep], c[keep], coef[keep]
-        h = coef * np.where(r == c, 0.5, 1.0)
+        v, r, c = (np.concatenate([getattr(b, f) for b in ordered]) for f in ("var", "row", "col"))
+        kept = keep[term]  # a problem's coefficients are coef[term]
+        blk, v, r, c, self.term = blk[kept], v[kept], r[kept], c[kept], term[kept]
+        self.half = np.where(r == c, 0.5, 1.0)
         d, o = dims[blk], base[blk]
         self.at = np.concatenate([o + r * d + c, o + c * d + r])
-        self.var, self.hc = np.concatenate([v, v]), np.concatenate([h, h])
+        self.var = np.concatenate([v, v])
         top = np.full(dims.size, -1)  # each block's group, -1 if none
         np.maximum.at(top, blk, group[v])
         if np.any((group[v] >= 0) & (group[v] != top[blk])):
@@ -132,16 +139,16 @@ class _Problem:
             local[g, : mine.size] = mine
             mine = np.flatnonzero(rg == g)
             self.rows[g, : mine.size] = mine
-        # The linear cone's rows A, dense over a group's k variables and then
-        # the s shared ones: Ar holds each group's rows, padded with row l = 0.
-        A, cone = np.zeros((l + 1, k + s)), blk < l
-        at = (blk[cone], np.where(group[v] >= 0, pos[v], k + pos[v])[cone])
-        np.add.at(A, at, coef[cone])
-        self.Ar, self.As = A[self.rows], A[:l, k:]
+        # Where the linear cone's coefficients go in its rows A, dense over a
+        # group's k variables and then the s shared ones.
+        cone = blk < l
+        self.cone_at = np.stack([blk, np.where(group[v] >= 0, pos[v], k + pos[v])])[:, cone]
+        self.cone_term = self.term[cone]
         # tr(T_p W T_q Z^-1) for T = h (E_ab + E_ba) is the sum of four
         # products W_xy Zi_uv, gathered for every pair (p, q) of terms of
         # one matrix block.
-        blk, v, r, c, h, d, o = (x[~cone] for x in (blk, v, r, c, h, d, o))
+        mat = np.flatnonzero(~cone)
+        blk, v, r, c, d, o = (x[mat] for x in (blk, v, r, c, d, o))
         per_block = np.bincount(blk, minlength=dims.size)
         n_of = per_block[blk]
         p = np.repeat(np.arange(blk.size), n_of)
@@ -150,7 +157,7 @@ class _Problem:
         ap, bp, aq, bq, d, o = r[p], c[p], r[q], c[q], d[p], o[p]
         wi = o + np.stack([bp * d + aq, bp * d + bq, ap * d + aq, ap * d + bq])
         zi = o + np.stack([bq * d + ap, aq * d + ap, bq * d + bp, aq * d + bp])
-        w, vp, vq = h[p] * h[q], v[p], v[q]
+        pq, vp, vq = mat[np.stack([p, q])], v[p], v[q]  # pq: the pair's two terms
         # Where each pair lands: the shared block S, a group's own block H,
         # or the coupling E of a group's variables to the shared ones.
         gp, gq = group[vp], group[vq]
@@ -159,10 +166,50 @@ class _Problem:
         in_group = np.where(gq < 0, self.offsets[0] + row * s, row * k)
         dest = np.where(gp < 0, self.offsets[1] + pos[vp] * s, in_group) + pos[vq]
         keep = (gp >= 0) | (gq < 0)  # E holds the (group, shared) half only
-        self.wi, self.zi, self.w, self.dest = (a[..., keep] for a in (wi, zi, w, dest))
+        self.wi, self.zi, self.pq, self.dest = (a[..., keep] for a in (wi, zi, pq, dest))
         self.K, self.k, self.s = K, k, s
         self.shared, self.local = shared, local
         self.pad = np.eye(k) * (local == m)[:, None, :]  # unit diagonal on padding
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                _frozen(a)
+
+
+def _structure(key: bytes, blocks: list[Block], group: np.ndarray, keep) -> _Structure:
+    """The _Structure of key, kept while the kept ones take at most
+    _CACHE_BYTES together; a larger one is built and not kept."""
+    with _LOCK:
+        st, size = _CACHE.pop(key, (None, len(key)))
+    if st is None:
+        st = _Structure(blocks, group, keep)
+        size += sum(a.nbytes for a in vars(st).values() if isinstance(a, np.ndarray))
+    with _LOCK:
+        _CACHE[key] = st, size  # the most recently used last
+        while sum(b for _, b in _CACHE.values()) > _CACHE_BYTES:
+            _CACHE.popitem(last=False)
+    return st
+
+
+class _Problem:
+    """The blocks in one flat vector, the l 1x1 blocks first, then the rest
+    stacked by size. The index arrays come from the _Structure of the
+    blocks' sizes, var, row and col, where coef is nonzero, and group; F0,
+    the coefficients and the linear cone's rows A are this call's own."""
+
+    def __init__(self, blocks: list[Block], group: np.ndarray):
+        coef = np.concatenate([blk.coef for blk in blocks])
+        keep = coef != 0
+        fields = [getattr(blk, f) for f in ("var", "row", "col") for blk in blocks]
+        head = [len(blocks), group.size] + [blk.F0.shape[0] for blk in blocks]
+        head += [blk.var.size for blk in blocks]  # so the key parses one way
+        key = np.concatenate([head, *fields, keep, group], dtype=np.int64)
+        self.__dict__.update(vars(_structure(key.tobytes(), blocks, group, keep)))
+        self.F0 = np.concatenate([np.ravel(blocks[j].F0) for j in self.order]).astype(float)
+        h = coef[self.term] * self.half
+        self.hc, self.w = np.concatenate([h, h]), h[self.pq[0]] * h[self.pq[1]]
+        A = np.zeros((self.l + 1, self.k + self.s))  # Ar pads with row l = 0
+        np.add.at(A, tuple(self.cone_at), coef[self.cone_term])
+        self.Ar, self.As = A[self.rows], A[: self.l, self.k :]
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """The blocks past the linear cone of flat (..., size), one view per size."""

@@ -12,6 +12,7 @@ rescores its winner, and in _certified, the one rule for whether it certifies.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -25,12 +26,14 @@ import numpy as np
 from . import sdp
 from .bounds import BoundResult, WitnessPair, evaluate_G, rank_one_bound
 from .bounds import separability_bound
+from .linalg import _frozen
 from .partitions import Partition, _partition_list, bipartitions
 from .states import CVState, is_physical
 
 _BATCH = 65536
 _PROBE = 64  # top trials per batch that set its pruning threshold
 _TILE = 4096  # trials per transposed tile of G, sigma and the trial bound
+_TIE = 1e-6  # relative rounding the witness column ignores (solver witnesses: 1e-7)
 
 
 class MissingErrorModel(ValueError):
@@ -303,6 +306,39 @@ def random_rank_one_search(
     return reports[0] if isinstance(p, Partition) else reports
 
 
+def _fixed_block(*arrays) -> sdp.Block:
+    """An sdp.Block of read-only arrays, for a program that is kept."""
+    return sdp.Block(*(_frozen(np.asarray(a)) for a in arrays))
+
+
+@functools.lru_cache(maxsize=8)
+def _werner_wolf_program(n: int, cuts: tuple[Partition, ...]) -> tuple:
+    """What _werner_wolf's program takes from n and the cuts alone: gain,
+    group, the start at eps = 1, the blocks with 0 in place of gamma, and
+    per cut (t's index, its gamma_xx block, the variables of (+)a_b, (+)c_b)."""
+    start, gain, group, blocks, cuts_at = [], [], [], [], []
+    for label, q in enumerate(cuts):
+        ti = len(start)  # t's index
+        r, e = np.nonzero(np.triu(q.labels[:, None] == q.labels))  # within blocks
+        ids = np.zeros((2, n, n), dtype=int)  # the variables of (+)a_b, (+)c_b
+        ids[:, r, e] = ids[:, e, r] = ti + 1 + np.arange(2 * r.size).reshape(2, -1)
+        _frozen(ids)
+        start += [1.0, *np.tile(1.0 * (r == e), 2)]
+        gain += [1.0] + [0.0] * (2 * r.size)
+        group += [label] * (1 + 2 * r.size)
+        cuts_at.append((ti, len(blocks), ids))
+        for v in ids:
+            blocks.append(_fixed_block(np.zeros((n, n)), v[r, e], r, e, -np.ones(r.size)))
+        for idx in q.indices:
+            k, d = idx.size, np.arange(idx.size)
+            i, j = np.triu_indices(k)
+            v = np.concatenate([*ids[:, idx[i], idx[j]], np.full(k, ti)])
+            rows, cols = np.concatenate([i, k + i, d]), np.concatenate([j, k + j, k + d])
+            coef = np.repeat([1.0, 1.0, 0.5], [i.size, i.size, k])
+            blocks.append(_fixed_block(np.zeros((2 * k, 2 * k)), v, rows, cols, coef))
+    return (*(_frozen(np.array(a)) for a in (gain, group, start)), tuple(blocks), tuple(cuts_at))
+
+
 def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
     """The Werner-Wolf program per cut, each cut a solver group: one (witness
     at G = 1, gap, converged, (t, [a_b], [c_b])) per cut.
@@ -317,26 +353,12 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
     low = min(float(np.linalg.eigvalsh(g)[0]) for g in (s.gamma_xx, s.gamma_pp))
     if not low > 0:
         raise ValueError(f"gamma is not positive definite ({low:.3g}): nonpositive G")
-    eps, y0, gain, group, blocks, cuts_at = low / 2, [], [], [], [], []
-    for label, q in enumerate(cuts):
-        ti = len(y0)  # t's index
-        r, e = np.nonzero(np.triu(q.labels[:, None] == q.labels))  # within blocks
-        ids = np.zeros((2, s.n, s.n), dtype=int)  # the variables of (+)a_b, (+)c_b
-        ids[:, r, e] = ids[:, e, r] = ti + 1 + np.arange(2 * r.size).reshape(2, -1)
-        y0 += [eps, *np.tile(eps * (r == e), 2)]
-        gain += [1.0] + [0.0] * (2 * r.size)
-        group += [label] * (1 + 2 * r.size)
-        cuts_at.append((ti, len(blocks), ids))
-        for g, v in zip((s.gamma_xx, s.gamma_pp), ids):
-            blocks.append(sdp.Block(g, v[r, e], r, e, -np.ones(r.size)))
-        for idx in q.indices:
-            k, d = idx.size, np.arange(idx.size)
-            i, j = np.triu_indices(k)
-            v = np.concatenate([*ids[:, idx[i], idx[j]], np.full(k, ti)])
-            rows, cols = np.concatenate([i, k + i, d]), np.concatenate([j, k + j, k + d])
-            coef = np.repeat([1.0, 1.0, 0.5], [i.size, i.size, k])
-            blocks.append(sdp.Block(np.zeros((2 * k, 2 * k)), v, rows, cols, coef))
-    sol = sdp.solve(np.array(gain), blocks, np.array(y0), np.array(group))
+    gain, group, start, blocks, cuts_at = _werner_wolf_program(s.n, tuple(cuts))
+    blocks = list(blocks)
+    for _, j, _ in cuts_at:
+        blocks[j] = replace(blocks[j], F0=s.gamma_xx)
+        blocks[j + 1] = replace(blocks[j + 1], F0=s.gamma_pp)
+    sol = sdp.solve(gain, blocks, (low / 2) * start, group)
     out = []
     for q, (ti, j, ids) in zip(cuts, cuts_at):
         X, P, t = sol.W[j], sol.W[j + 1], float(sol.y[ti])
@@ -345,6 +367,56 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
         witness = WitnessPair((1.0 / G) * X, (1.0 / G) * P)
         out.append((witness, abs(1.0 / t - 1.0 / G), sol.converged, (t, a, c)))
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _lift_program(n: int, cuts: tuple[Partition, ...], shared: bool) -> tuple:
+    """What _lift's program takes from n, the cuts and shared alone: gain,
+    group, the blocks with 1 in place of sd and of -gam, tri, and per copy
+    (its first variable and block, its ends, and its linear blocks); a
+    copy's sigma block is its third."""
+    iu = np.triu_indices(n)
+    nt = iu[0].size
+    tri = np.zeros((n, n), dtype=int)
+    tri[iu] = tri[iu[::-1]] = np.arange(nt)
+    gain, group, blocks, copies = [], [], [], []
+
+    def var(count, label, b=0.0):
+        first = sum(map(len, gain))
+        gain.append(np.broadcast_to(b, (count,)))
+        group.append(np.broadcast_to(label, (count,)))
+        return np.arange(first, first + count)
+
+    def block(F0, v, row, col, coef):
+        blocks.append(_fixed_block(np.atleast_2d(F0), v, row, col, coef))
+
+    for c, members in enumerate([cuts] if shared else [[q] for q in cuts]):
+        first, lines = (sum(map(len, gain)), len(blocks)), []
+        label = -1 if shared else c
+        XP = var(2 * nt, label)
+        t = var(1, label, 1.0)
+        block(np.zeros((n, n)), XP[:nt], *iu, np.ones(nt))
+        block(np.zeros((n, n)), XP[nt:], *iu, np.ones(nt))
+        block(np.eye(2 * nt + 1), XP, 0 * XP, 1 + np.arange(2 * nt), np.ones(2 * nt))
+        for j, q in enumerate(members):
+            terms = [(XP, np.ones(2 * nt)), (t, -np.ones(1))]
+            for idx in q.indices:
+                k = idx.size
+                a, e = np.divmod(np.arange(k * k), k)
+                Y = var(k * k, j if shared else c)
+                up = a <= e
+                sub = tri[idx[a[up]], idx[e[up]]]
+                v = np.concatenate([XP[sub], XP[nt + sub], Y])
+                rows = np.concatenate([a[up], k + a[up], a])
+                cols = np.concatenate([e[up], k + e[up], k + e])
+                block(np.zeros((2 * k, 2 * k)), v, rows, cols, np.ones(v.size))
+                terms.append((Y[a == e], np.ones(k)))
+            v, coef = map(np.concatenate, zip(*terms))
+            lines.append(len(blocks))
+            block(0.0, v, 0 * v, 0 * v, coef)
+        copies.append(first + (sum(map(len, gain)), len(blocks), tuple(lines)))
+    gain, group = (_frozen(np.concatenate(x)) for x in (gain, group))
+    return gain, group, tuple(blocks), _frozen(tri), tuple(copies)
 
 
 def _lift(
@@ -362,56 +434,24 @@ def _lift(
     ZeroSigma before solving when every sigma entry is 0.
     """
     _require_model(s, score=True)
-    n = s.n
-    iu = np.triu_indices(n)
+    b, group, blocks, tri, copies = _lift_program(s.n, tuple(cuts), shared)
+    iu = np.triu_indices(s.n)
     nt = iu[0].size
-    tri = np.zeros((n, n), dtype=int)
-    tri[iu] = tri[iu[::-1]] = np.arange(nt)
     twice = np.tile(np.where(iu[0] == iu[1], 1.0, 2.0), 2)  # off-diagonals count twice
     gam = twice * np.concatenate([s.gamma_xx[iu], s.gamma_pp[iu]])
     diag = (twice == 1.0) * 1.0
     sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
     eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
-    gain, y0, group, blocks, spans = [], [], [], [], []
-
-    def var(count, label, init=0.0, b=0.0):
-        first = sum(map(len, gain))
-        for out, value in ((gain, b), (y0, init), (group, label)):
-            out.append(np.broadcast_to(value, (count,)))
-        return np.arange(first, first + count)
-
-    def block(F0, v, row, col, coef):
-        blocks.append(sdp.Block(np.atleast_2d(F0), v, *map(np.asarray, (row, col, coef))))
-
-    for c, members in enumerate([cuts] if shared else [[q] for q in cuts]):
-        first = (sum(map(len, gain)), len(blocks))
-        label = -1 if shared else c
-        XP = var(2 * nt, label, eps * diag)
-        t = var(1, label, -eps * float(gam @ diag) - 1.0, 1.0)
-        block(np.zeros((n, n)), XP[:nt], *iu, np.ones(nt))
-        block(np.zeros((n, n)), XP[nt:], *iu, np.ones(nt))
-        block(np.eye(2 * nt + 1), XP, 0 * XP, 1 + np.arange(2 * nt), sd)  # sigma <= 1
-        for j, q in enumerate(members):
-            terms = [(XP, -gam), (t, -np.ones(1))]
-            for idx in q.indices:
-                k = idx.size
-                a, e = np.divmod(np.arange(k * k), k)
-                Y = var(k * k, j if shared else c)
-                up = a <= e
-                sub = tri[idx[a[up]], idx[e[up]]]
-                v = np.concatenate([XP[sub], XP[nt + sub], Y])
-                rows = np.concatenate([a[up], k + a[up], a])
-                cols = np.concatenate([e[up], k + e[up], k + e])
-                block(np.zeros((2 * k, 2 * k)), v, rows, cols, np.ones(v.size))
-                terms.append((Y[a == e], np.ones(k)))
-            v, coef = map(np.concatenate, zip(*terms))
-            block(0.0, v, 0 * v, 0 * v, coef)
-        spans.append(first + (sum(map(len, gain)), len(blocks)))
-
-    b = np.concatenate(gain)
-    sol = sdp.solve(b, blocks, np.concatenate(y0), np.concatenate(group))
+    blocks, y0 = list(blocks), np.zeros(b.size)
+    for v0, k0, _, _, lines in copies:
+        y0[v0 : v0 + 2 * nt] = eps * diag
+        y0[v0 + 2 * nt] = -eps * float(gam @ diag) - 1.0
+        blocks[k0 + 2] = replace(blocks[k0 + 2], coef=sd)
+        for j in lines:
+            blocks[j] = replace(blocks[j], coef=np.concatenate([-gam, blocks[j].coef[2 * nt :]]))
+    sol = sdp.solve(b, blocks, y0, group)
     out = []
-    for v0, k0, v1, k1 in spans:
+    for v0, k0, v1, k1, _ in copies:
         dual = sum(float(np.sum(blocks[j].F0 * sol.W[j])) for j in range(k0, k1))
         xp = sol.y[v0 : v0 + 2 * nt]
         G = float(gam @ xp)
@@ -472,18 +512,19 @@ def genuine_search(
 
 
 def _describe_witness(w: WitnessPair) -> str:
-    """Rank-one witnesses shown by their vectors, others by shape."""
+    """Rank-one witnesses shown by their vectors, others by shape: X and P
+    count as rank one when their second eigenvalue is at most _TIE of the first."""
     parts = []
     for name, M, v in (("h", w.X, w.h), ("g", w.P, w.g)):
         if v is None:
             vals, vecs = np.linalg.eigh(M)
-            if vals[-1] <= 0 or (w.n > 1 and vals[-2] > 1e-8 * vals[-1]):
+            if vals[-1] <= 0 or (w.n > 1 and vals[-2] > _TIE * vals[-1]):
                 return f"matrix({w.n}x{w.n})"
             v = np.sqrt(vals[-1]) * vecs[:, -1]
-        # The first entry within a relative 1e-6 of the largest magnitude is
+        # The first entry within a relative _TIE of the largest magnitude is
         # made positive, so entries that tie up to rounding flip no sign.
         a = np.abs(v)
-        if v[np.argmax(a >= (1 - 1e-6) * a.max())] < 0:
+        if v[np.argmax(a >= (1 - _TIE) * a.max())] < 0:
             v = -v
         parts.append(name + "=(" + ", ".join(f"{x:.2f}" for x in v) + ")")
     return " ".join(parts)
@@ -509,7 +550,7 @@ def report_to_dict(r: ViolationReport) -> dict:
 
 
 def reports_to_json(reports: Sequence[ViolationReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
+    return json.dumps([report_to_dict(r) for r in reports])
 
 
 def reports_table(reports: Sequence[ViolationReport]) -> str:

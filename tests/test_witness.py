@@ -25,6 +25,7 @@ from cvwitness.witness import (
     reports_to_json,
     violation_score,
 )
+from test_rank_one_sweep import _network_state
 
 
 def _psd(gen: np.random.Generator, n: int, floor: float = 0.0) -> np.ndarray:
@@ -309,6 +310,40 @@ def test_rank_one_vectors_print_one_sign_when_entries_tie(a, b):
             texts.add(_describe_witness(WitnessPair(np.outer(h, h), np.outer(h, h))))
     v = f"({a:.2f}, {-a:.2f}, {b:.2f}, {b:.2f})"
     assert texts == {f"h={v} g={v}"}
+
+
+def _raise_second_eigenvalue(M: np.ndarray, by: float) -> np.ndarray:
+    # M plus by * lambda_1 along the eigenvector of its second eigenvalue:
+    # the PSD change that moves a rank-one test the most.
+    vals, vecs = np.linalg.eigh(M)
+    return M + by * vals[-1] * np.outer(vecs[:, -2], vecs[:, -2])
+
+
+def test_witness_column_ignores_solver_rounding(ppt4, klev4, vacuum4):
+    # Solver witnesses that are rank one come out with lambda_2 / lambda_1
+    # up to about 1e-7, full-rank ones at 1e-4 and above, so raising
+    # lambda_2 by 1e-9 lambda_1 changes no row of the witness column. The
+    # corpus: margin mode on the built-ins, and margin, score and genuine
+    # mode on seeded states of three to six modes (score mode on one
+    # six-mode seed, which alone takes a second).
+    witnesses = []
+    for s in (ppt4, klev4, vacuum4):
+        witnesses += [r.witness for r in optimize_witness(s, bipartitions(4), no_error=True)]
+    for n in (3, 4, 5, 6):
+        for seed in range(6):
+            s, parts = _network_state(n, seed), bipartitions(n)
+            witnesses += [r.witness for r in optimize_witness(s, parts, no_error=True)]
+            if n < 6 or seed == 0:
+                witnesses += [r.witness for r in optimize_witness(s, parts)]
+            witnesses.append(genuine_search(s)[1])
+    assert len(witnesses) == 562
+    for w in witnesses:
+        moved = WitnessPair(*(_raise_second_eigenvalue(M, 1e-9) for M in (w.X, w.P)))
+        assert _describe_witness(moved) == _describe_witness(w)
+    # ppt4's single-mode cuts have rank-one optima, its two-vs-two cuts not.
+    columns = [_describe_witness(w) for w in witnesses[:7]]
+    assert [c.startswith("h=(") for c in columns] == [True] * 4 + [False] * 3
+    assert columns[4:] == ["matrix(4x4)"] * 3
 
 
 def test_table_partition_column_fits_ten_mode_labels(klev4):

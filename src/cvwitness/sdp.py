@@ -34,11 +34,13 @@ shared variables (label -1) but with no variable of another group. The Schur
 complement of the matrix blocks is assembled from pairs of terms, and each
 group is eliminated on its own before the shared variables, so the work per
 iteration is linear in the number of groups.
+
+A Structure holds the index tables fixed by the blocks' sizes, var, row and
+col and by the groups; solve takes one with every call, so a program solved
+again with other F0 or coef builds it once.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +91,15 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return (A + _mT(A)) / 2.0
 
 
-# The _Structures that _Problem keeps, least recently used first, with sizes.
-_CACHE: OrderedDict[bytes, tuple[_Structure, int]] = OrderedDict()
-_CACHE_BYTES = 64 << 20
-_LOCK = threading.Lock()
+class Structure:
+    """The read-only index arrays, fixed by the blocks' sizes, var, row and col
+    and by group, that map y to Z(y), W to F*(W) and (W, Z^-1) to the Schur
+    complement; index keeps what _Problem checks the blocks against."""
 
-
-class _Structure:
-    """The index arrays of a _Problem, which map y to Z(y), W to F*(W) and
-    (W, Z^-1) to the Schur complement, for the terms where keep. Read-only."""
-
-    def __init__(self, blocks: list[Block], group: np.ndarray, keep: np.ndarray):
+    def __init__(self, blocks: list[Block], group):
+        self.group = group = np.array(group)
         m = group.size
+        self.index = tuple((blk.F0.shape[0], blk.var, blk.row, blk.col) for blk in blocks)
         self.order = sorted(range(len(blocks)), key=lambda j: blocks[j].F0.shape[0])
         ordered = [blocks[j] for j in self.order]
         dims = np.array([blk.F0.shape[0] for blk in ordered])
@@ -111,12 +110,8 @@ class _Structure:
         self.l = l = int(np.sum(dims == 1))
         self.N = int(dims.sum())  # sum_j tr(W_j Z_j) / N is mu
         self.size, self.m = int((dims**2).sum()), m
-        starts = np.cumsum([0] + [blk.var.size for blk in blocks])
-        term = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in self.order])
         blk = np.repeat(np.arange(len(ordered)), [b.var.size for b in ordered])
         v, r, c = (np.concatenate([getattr(b, f) for b in ordered]) for f in ("var", "row", "col"))
-        kept = keep[term]  # a problem's coefficients are coef[term]
-        blk, v, r, c, self.term = blk[kept], v[kept], r[kept], c[kept], term[kept]
         self.half = np.where(r == c, 0.5, 1.0)
         d, o = dims[blk], base[blk]
         self.at = np.concatenate([o + r * d + c, o + c * d + r])
@@ -143,7 +138,6 @@ class _Structure:
         # group's k variables and then the s shared ones.
         cone = blk < l
         self.cone_at = np.stack([blk, np.where(group[v] >= 0, pos[v], k + pos[v])])[:, cone]
-        self.cone_term = self.term[cone]
         # tr(T_p W T_q Z^-1) for T = h (E_ab + E_ba) is the sum of four
         # products W_xy Zi_uv, gathered for every pair (p, q) of terms of
         # one matrix block.
@@ -175,40 +169,26 @@ class _Structure:
                 _frozen(a)
 
 
-def _structure(key: bytes, blocks: list[Block], group: np.ndarray, keep) -> _Structure:
-    """The _Structure of key, kept while the kept ones take at most
-    _CACHE_BYTES together; a larger one is built and not kept."""
-    with _LOCK:
-        st, size = _CACHE.pop(key, (None, len(key)))
-    if st is None:
-        st = _Structure(blocks, group, keep)
-        size += sum(a.nbytes for a in vars(st).values() if isinstance(a, np.ndarray))
-    with _LOCK:
-        _CACHE[key] = st, size  # the most recently used last
-        while sum(b for _, b in _CACHE.values()) > _CACHE_BYTES:
-            _CACHE.popitem(last=False)
-    return st
-
-
 class _Problem:
     """The blocks in one flat vector, the l 1x1 blocks first, then the rest
-    stacked by size. The index arrays come from the _Structure of the
-    blocks' sizes, var, row and col, where coef is nonzero, and group; F0,
-    the coefficients and the linear cone's rows A are this call's own."""
+    stacked by size. The index arrays are those of st, built from blocks of
+    the same sizes and var, row and col (by identity or by value); F0, the
+    coefficients and the linear cone's rows A are this call's own."""
 
-    def __init__(self, blocks: list[Block], group: np.ndarray):
-        coef = np.concatenate([blk.coef for blk in blocks])
-        keep = coef != 0
-        fields = [getattr(blk, f) for f in ("var", "row", "col") for blk in blocks]
-        head = [len(blocks), group.size] + [blk.F0.shape[0] for blk in blocks]
-        head += [blk.var.size for blk in blocks]  # so the key parses one way
-        key = np.concatenate([head, *fields, keep, group], dtype=np.int64)
-        self.__dict__.update(vars(_structure(key.tobytes(), blocks, group, keep)))
-        self.F0 = np.concatenate([np.ravel(blocks[j].F0) for j in self.order]).astype(float)
-        h = coef[self.term] * self.half
+    def __init__(self, blocks: list[Block], st: Structure):
+        index = [(blk.F0.shape[0], blk.var, blk.row, blk.col) for blk in blocks]
+        if len(index) != len(st.index) or not all(
+            a is b or np.array_equal(a, b) for x, y in zip(index, st.index) for a, b in zip(x, y)
+        ):
+            raise ValueError("the blocks are not those the structure was built from")
+        self.__dict__.update(vars(st))
+        ordered = [blocks[j] for j in self.order]
+        self.F0 = np.concatenate([np.ravel(blk.F0) for blk in ordered]).astype(float)
+        coef = np.concatenate([blk.coef for blk in ordered])  # the 1x1 blocks' first
+        h = coef * self.half
         self.hc, self.w = np.concatenate([h, h]), h[self.pq[0]] * h[self.pq[1]]
         A = np.zeros((self.l + 1, self.k + self.s))  # Ar pads with row l = 0
-        np.add.at(A, tuple(self.cone_at), coef[self.cone_term])
+        np.add.at(A, tuple(self.cone_at), coef[: self.cone_at.shape[1]])
         self.Ar, self.As = A[self.rows], A[: self.l, self.k :]
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -279,15 +259,13 @@ def _inv_chol(A: np.ndarray) -> np.ndarray:
         return np.linalg.inv(np.linalg.cholesky(A))
 
 
-def solve(
-    b: np.ndarray, blocks: list[Block], y0: np.ndarray, group: np.ndarray
-) -> Solution:
+def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> Solution:
     """Maximize b.y subject to every block, starting from y0.
 
-    group labels each variable (see the module docstring). Raises ValueError
-    when y0 is not strictly feasible.
+    st is the Structure of the blocks. Raises ValueError when it was built
+    from other blocks or when y0 is not strictly feasible.
     """
-    prob = _Problem(blocks, np.asarray(group))
+    prob = _Problem(blocks, st)
     l = prob.l
     y = np.asarray(y0, dtype=float).copy()
     # Flat iterates: WZ = [W; Z], D = [dW; dZ], Z^-1 and the corrector C.

@@ -24,16 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from . import sdp
-from .bounds import BoundResult, WitnessPair, evaluate_G, rank_one_bound
-from .bounds import separability_bound
+from .bounds import WitnessPair, evaluate_G, rank_one_bound, separability_bound
 from .linalg import _frozen
-from .partitions import Partition, _partition_list, bipartitions
+from .partitions import Partition, _partition_list, bipartitions, free_mask
 from .states import CVState, is_physical
 
 _BATCH = 65536
 _PROBE = 64  # top trials per batch that set its pruning threshold
 _TILE = 4096  # trials per transposed tile of G, sigma and the trial bound
 _TIE = 1e-6  # relative rounding the witness column ignores (solver witnesses: 1e-7)
+_SIGN_TIE = 1e-3  # relative spread of entries the sign rule treats as tied
 
 
 class MissingErrorModel(ValueError):
@@ -55,7 +55,6 @@ class ViolationReport:
     s: float | None
     confidence: float | None
     witness: WitnessPair
-    certificate: BoundResult
     converged: bool = True
     gap: float | None = None  # duality gap of the solver; None off the solver
 
@@ -111,15 +110,15 @@ def confidence(s: float) -> float:
 
 
 def violation_score(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport:
-    """Score a witness: s = (B_I - G)/sigma plus the full certificate."""
+    """Score a witness: s = (B_I - G)/sigma and its confidence."""
     sigma = measurement_sigma(w, s)
     if sigma <= 0.0:
         raise ZeroSigma("sigma(X, P) = 0; violation score undefined")
-    cert = separability_bound(w, p)
+    bound = separability_bound(w, p).value
     G = evaluate_G(w, s)
-    score = (cert.value - G) / sigma
+    score = (bound - G) / sigma
     conf = confidence(score) if score >= 0 else 1.0
-    return ViolationReport(p, G, sigma, cert.value, score, conf, w, cert)
+    return ViolationReport(p, G, sigma, bound, score, conf, w)
 
 
 def _report(w: WitnessPair, s: CVState, p: Partition, score: bool, **solver):
@@ -127,9 +126,8 @@ def _report(w: WitnessPair, s: CVState, p: Partition, score: bool, **solver):
     else by the raw margin only. solver holds the converged and gap fields."""
     if score:
         return replace(violation_score(w, s, p), **solver)
-    cert = separability_bound(w, p)
-    G = evaluate_G(w, s)
-    return ViolationReport(p, G, None, cert.value, None, None, w, cert, **solver)
+    bound = separability_bound(w, p).value
+    return ViolationReport(p, evaluate_G(w, s), None, bound, None, None, w, **solver)
 
 
 def rounding_bound(w: WitnessPair, s: CVState) -> float:
@@ -314,8 +312,9 @@ def _fixed_block(*arrays) -> sdp.Block:
 @functools.lru_cache(maxsize=8)
 def _werner_wolf_program(n: int, cuts: tuple[Partition, ...]) -> tuple:
     """What _werner_wolf's program takes from n and the cuts alone: gain,
-    group, the start at eps = 1, the blocks with 0 in place of gamma, and
-    per cut (t's index, its gamma_xx block, the variables of (+)a_b, (+)c_b)."""
+    the start at eps = 1, the blocks with 0 in place of gamma, their
+    sdp.Structure, and per cut (t's index, its gamma_xx block, the variables
+    of (+)a_b, (+)c_b)."""
     start, gain, group, blocks, cuts_at = [], [], [], [], []
     for label, q in enumerate(cuts):
         ti = len(start)  # t's index
@@ -336,7 +335,8 @@ def _werner_wolf_program(n: int, cuts: tuple[Partition, ...]) -> tuple:
             rows, cols = np.concatenate([i, k + i, d]), np.concatenate([j, k + j, k + d])
             coef = np.repeat([1.0, 1.0, 0.5], [i.size, i.size, k])
             blocks.append(_fixed_block(np.zeros((2 * k, 2 * k)), v, rows, cols, coef))
-    return (*(_frozen(np.array(a)) for a in (gain, group, start)), tuple(blocks), tuple(cuts_at))
+    st = sdp.Structure(blocks, group)
+    return _frozen(np.array(gain)), _frozen(np.array(start)), tuple(blocks), st, tuple(cuts_at)
 
 
 def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
@@ -353,12 +353,12 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
     low = min(float(np.linalg.eigvalsh(g)[0]) for g in (s.gamma_xx, s.gamma_pp))
     if not low > 0:
         raise ValueError(f"gamma is not positive definite ({low:.3g}): nonpositive G")
-    gain, group, start, blocks, cuts_at = _werner_wolf_program(s.n, tuple(cuts))
+    gain, start, blocks, st, cuts_at = _werner_wolf_program(s.n, tuple(cuts))
     blocks = list(blocks)
     for _, j, _ in cuts_at:
         blocks[j] = replace(blocks[j], F0=s.gamma_xx)
         blocks[j + 1] = replace(blocks[j + 1], F0=s.gamma_pp)
-    sol = sdp.solve(gain, blocks, (low / 2) * start, group)
+    sol = sdp.solve(gain, blocks, (low / 2) * start, st)
     out = []
     for q, (ti, j, ids) in zip(cuts, cuts_at):
         X, P, t = sol.W[j], sol.W[j + 1], float(sol.y[ti])
@@ -372,9 +372,9 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
 @functools.lru_cache(maxsize=8)
 def _lift_program(n: int, cuts: tuple[Partition, ...], shared: bool) -> tuple:
     """What _lift's program takes from n, the cuts and shared alone: gain,
-    group, the blocks with 1 in place of sd and of -gam, tri, and per copy
-    (its first variable and block, its ends, and its linear blocks); a
-    copy's sigma block is its third."""
+    the blocks with 1 in place of sd and of -gam, their sdp.Structure, tri,
+    and per copy (its first variable and block, its ends, and its linear
+    blocks); a copy's sigma block is its third."""
     iu = np.triu_indices(n)
     nt = iu[0].size
     tri = np.zeros((n, n), dtype=int)
@@ -415,8 +415,8 @@ def _lift_program(n: int, cuts: tuple[Partition, ...], shared: bool) -> tuple:
             lines.append(len(blocks))
             block(0.0, v, 0 * v, 0 * v, coef)
         copies.append(first + (sum(map(len, gain)), len(blocks), tuple(lines)))
-    gain, group = (_frozen(np.concatenate(x)) for x in (gain, group))
-    return gain, group, tuple(blocks), _frozen(tri), tuple(copies)
+    st = sdp.Structure(blocks, np.concatenate(group))
+    return _frozen(np.concatenate(gain)), tuple(blocks), st, _frozen(tri), tuple(copies)
 
 
 def _lift(
@@ -434,7 +434,7 @@ def _lift(
     ZeroSigma before solving when every sigma entry is 0.
     """
     _require_model(s, score=True)
-    b, group, blocks, tri, copies = _lift_program(s.n, tuple(cuts), shared)
+    b, blocks, st, tri, copies = _lift_program(s.n, tuple(cuts), shared)
     iu = np.triu_indices(s.n)
     nt = iu[0].size
     twice = np.tile(np.where(iu[0] == iu[1], 1.0, 2.0), 2)  # off-diagonals count twice
@@ -449,7 +449,7 @@ def _lift(
         blocks[k0 + 2] = replace(blocks[k0 + 2], coef=sd)
         for j in lines:
             blocks[j] = replace(blocks[j], coef=np.concatenate([-gam, blocks[j].coef[2 * nt :]]))
-    sol = sdp.solve(b, blocks, y0, group)
+    sol = sdp.solve(b, blocks, y0, st)
     out = []
     for v0, k0, v1, k1, _ in copies:
         dual = sum(float(np.sum(blocks[j].F0 * sol.W[j])) for j in range(k0, k1))
@@ -521,17 +521,19 @@ def _describe_witness(w: WitnessPair) -> str:
             if vals[-1] <= 0 or (w.n > 1 and vals[-2] > _TIE * vals[-1]):
                 return f"matrix({w.n}x{w.n})"
             v = np.sqrt(vals[-1]) * vecs[:, -1]
-        # The first entry within a relative _TIE of the largest magnitude is
-        # made positive, so entries that tie up to rounding flip no sign.
+        # The first entry within a relative _SIGN_TIE of the largest magnitude
+        # is made positive: the solver's ties come out up to 6e-5 apart.
         a = np.abs(v)
-        if v[np.argmax(a >= (1 - _TIE) * a.max())] < 0:
+        if v[np.argmax(a >= (1 - _SIGN_TIE) * a.max())] < 0:
             v = -v
         parts.append(name + "=(" + ", ".join(f"{x:.2f}" for x in v) + ")")
     return " ".join(parts)
 
 
 def report_to_dict(r: ViolationReport) -> dict:
-    """JSON-ready view of a report (matrices row-major)."""
+    """JSON-ready view of a report (matrices row-major). The certificate is
+    the witness with its cross-block entries zeroed, which attains bound."""
+    mask = free_mask(r.partition)
     return {
         "partition": r.partition.text,
         "G": r.G,
@@ -541,9 +543,9 @@ def report_to_dict(r: ViolationReport) -> dict:
         "confidence": r.confidence,
         "witness": {"X": r.witness.X.tolist(), "P": r.witness.P.tolist()},
         "certificate": {
-            "value": r.certificate.value,
-            "X": r.certificate.certificate_X.tolist(),
-            "P": r.certificate.certificate_P.tolist(),
+            "value": r.bound,
+            "X": np.where(mask, 0.0, r.witness.X).tolist(),
+            "P": np.where(mask, 0.0, r.witness.P).tolist(),
         },
         "converged": r.converged,
     } | ({} if r.gap is None else {"gap": r.gap})

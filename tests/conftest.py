@@ -99,7 +99,7 @@ def _dual_gradient(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # optimum its diagonal blocks are dB/dX and dB/dP (X, P positive definite).
     k = len(X)
     block, b = _lift(np.asarray(X, float), np.asarray(P, float))
-    sol = sdp.solve(b, [block], np.zeros(k * k), np.full(k * k, -1))
+    sol = sdp.solve(b, [block], np.zeros(k * k), sdp.Structure([block], np.full(k * k, -1)))
     assert sol.converged
     (W,) = sol.W
     return W[:k, :k], W[k:, k:]

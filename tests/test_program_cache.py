@@ -1,6 +1,6 @@
-"""The solver structure kept per program: cold and warm solves agree bit for
-bit, programs that differ only in their zero pattern do not share it, the
-kept arrays are read-only, threads may share it, and the cache is bounded."""
+"""The solver structure kept with each program: cold and warm solves agree
+bit for bit, states with the same n and cuts share it whatever their zero
+pattern, the kept arrays are read-only, and threads may share it."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
@@ -16,17 +16,20 @@ from test_rank_one_sweep import _network_state
 
 
 def _clear() -> None:
-    sdp._CACHE.clear()
     witness._werner_wolf_program.cache_clear()
     witness._lift_program.cache_clear()
+
+
+def _misses() -> list[int]:
+    """How many programs each builder has built since _clear."""
+    return [f.cache_info().misses for f in (witness._werner_wolf_program, witness._lift_program)]
 
 
 def _fingerprint(reports) -> list[tuple]:
     """Every number a report carries, the matrices as bytes."""
     return [
-        (r.G, r.sigma, r.bound, r.s, r.gap, r.converged, r.certificate.value)
+        (r.G, r.sigma, r.bound, r.s, r.gap, r.converged)
         + tuple(M.tobytes() for M in (r.witness.X, r.witness.P))
-        + tuple(M.tobytes() for M in (r.certificate.certificate_X, r.certificate.certificate_P))
         for r in reports
     ]
 
@@ -78,30 +81,33 @@ def test_cold_and_warm_solves_are_bit_equal(states, name, mode):
         (("klev4", "klev4-holes"), ("score", "genuine")),
     ],
 )
-def test_zero_patterns_do_not_share_a_structure(states, pair, modes):
+def test_zero_patterns_share_a_structure(states, pair, modes):
     # Same n and cuts; one state of each pair has zeros in gamma or sigma
-    # where the other has none. Whichever is solved first, the two then
-    # solved in alternation match their own cold solves.
+    # where the other has none. Both are solved with one structure, and
+    # whichever is solved first, the two then solved in alternation match
+    # their own cold solves.
     for mode in modes:
         cold = {name: _cold(states[name], mode) for name in pair}
         for first, second in (pair, pair[::-1]):
             _cold(states[first], mode)
             for name in (second, first, second):
                 assert _solve(states[name], mode) == cold[name], (name, mode)
+            assert _misses() == ([1, 0] if mode == "margin" else [0, 1]), mode
 
 
 def test_kept_arrays_are_read_only(states):
     _clear()
     for mode in ("margin", "score", "genuine"):
         _solve(states["klev4"], mode)
-    assert len(sdp._CACHE) == 3
-    for st, _ in sdp._CACHE.values():
-        arrays = [a for a in vars(st).values() if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 12 and not any(a.flags.writeable for a in arrays)
+    assert _misses() == [1, 2]
     cuts = tuple(bipartitions(4))
     programs = [witness._werner_wolf_program(4, cuts)]
     programs += [witness._lift_program(4, cuts, shared) for shared in (False, True)]
+    assert _misses() == [1, 2]
     for program in programs:
+        (st,) = [p for p in program if isinstance(p, sdp.Structure)]
+        arrays = [a for a in vars(st).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 12 and not any(a.flags.writeable for a in arrays)
         arrays = [a for a in program if isinstance(a, np.ndarray)]
         for block in next(p for p in program if isinstance(p, tuple)):
             arrays += list(vars(block).values())
@@ -116,41 +122,26 @@ def test_threads_share_a_structure(states):
     _clear()
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = list(pool.map(lambda s: _solve(s, "score"), jobs))
-    assert len(sdp._CACHE) == 1
+    assert witness._lift_program.cache_info().currsize == 1
     assert all(g == serial[id(s)] for g, s in zip(got, jobs))
 
 
 def test_a_warm_call_builds_no_structure(monkeypatch, states):
     built = []
-    structure = sdp._Structure
+    structure = sdp.Structure
 
     def counting(*args):
         built.append(1)
         return structure(*args)
 
-    monkeypatch.setattr(sdp, "_Structure", counting)
+    monkeypatch.setattr(sdp, "Structure", counting)
     for mode in ("margin", "score", "genuine"):
         _cold(states["klev4"], mode)
+        assert len(built) == 1, mode
         del built[:]
-        misses = [f.cache_info().misses for f in (witness._werner_wolf_program, witness._lift_program)]
+        misses = _misses()
         _solve(states["klev4"], mode)
         _solve(_network_state(4, 3), mode)  # another dense state: one structure
+        _solve(states["vacuum4"], mode)  # zero off-diagonals: the same structure
         assert not built, mode
-        assert misses == [
-            f.cache_info().misses for f in (witness._werner_wolf_program, witness._lift_program)
-        ]
-        _solve(states["vacuum4"], mode)  # zero off-diagonals: a structure of its own
-        assert len(built) == (mode != "margin")
-
-
-def test_the_cache_keeps_at_most_its_budget(monkeypatch, states):
-    _clear()
-    _solve(states["klev4"], "score")
-    _solve(states["klev4"], "genuine")
-    sizes = [size for _, size in sdp._CACHE.values()]
-    monkeypatch.setattr(sdp, "_CACHE_BYTES", max(sizes))
-    _solve(states["klev4"], "margin")  # the least recently used goes first
-    assert sum(size for _, size in sdp._CACHE.values()) <= max(sizes)
-    monkeypatch.setattr(sdp, "_CACHE_BYTES", 0)
-    _solve(states["vacuum4"], "genuine")  # too large to keep: built and dropped
-    assert not sdp._CACHE
+        assert misses == _misses()

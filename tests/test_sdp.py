@@ -22,7 +22,8 @@ def test_lift_of_one_block_is_the_nuclear_norm(label, lift):
         FA, FB = gen.standard_normal((2, k, k))
         A, B = FA @ FA.T + 0.1 * np.eye(k), FB @ FB.T + 0.1 * np.eye(k)
         block, b = lift(A, B)
-        sol = sdp.solve(b, [block], np.zeros(k * k), np.full(k * k, label))
+        st = sdp.Structure([block], np.full(k * k, label))
+        sol = sdp.solve(b, [block], np.zeros(k * k), st)
         factors = np.linalg.cholesky(A).T @ np.linalg.cholesky(B)
         want = np.linalg.svd(factors, compute_uv=False).sum()
         assert sol.converged and 0 < sol.iterations < sdp._MAX_ITER
@@ -48,7 +49,8 @@ def test_linear_program(group):
         # Separate groups may not share a block; y1 <= 1/2 then binds alone.
         blocks.append(row(1.0, [0], [-1.0]))
     blocks.append(row(0.5, [1], [-1.0]))
-    sol = sdp.solve(np.array([1.0, 2.0]), blocks, np.array([0.1, 0.1]), np.array(group))
+    st = sdp.Structure(blocks, np.array(group))
+    sol = sdp.solve(np.array([1.0, 2.0]), blocks, np.array([0.1, 0.1]), st)
     want = 1.5 if group[0] == group[1] else 2.0
     assert sol.converged
     assert sol.primal == pytest.approx(want, abs=1e-7)
@@ -59,9 +61,25 @@ def test_linear_program(group):
 def test_bad_input_is_refused(lift):
     block, b = lift(np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="groups"):
-        sdp.solve(b, [block], np.zeros(4), np.array([0, 0, 1, 1]))
+        sdp.solve(b, [block], np.zeros(4), sdp.Structure([block], np.array([0, 0, 1, 1])))
     with pytest.raises(ValueError, match="strictly feasible"):
-        sdp.solve(b, [block], np.full(4, 2.0), np.full(4, -1))
+        sdp.solve(b, [block], np.full(4, 2.0), sdp.Structure([block], np.full(4, -1)))
+
+
+def test_a_structure_refuses_other_blocks(lift):
+    # Blocks with the structure's sizes and var, row and col solve, equal
+    # copies too; another block count, size or term list is refused.
+    block, b = lift(np.eye(2), np.eye(2))
+    st = sdp.Structure([block], np.full(4, -1))
+    copy = sdp.Block(2 * block.F0, *(a.copy() for a in (block.var, block.row, block.col)),
+                     block.coef)
+    assert sdp.solve(b, [copy], np.zeros(4), st).primal == pytest.approx(4.0, abs=1e-7)
+    other, _ = lift(np.eye(3), np.eye(3))
+    fewer = sdp.Block(block.F0, block.var[:3], block.row[:3], block.col[:3], block.coef[:3])
+    moved = sdp.Block(block.F0, block.var[::-1], block.row, block.col, block.coef)
+    for blocks in ([], [block, block], [other], [fewer], [moved]):
+        with pytest.raises(ValueError, match="structure was built from"):
+            sdp.solve(b, blocks, np.zeros(4), st)
 
 
 def test_iterations_stop_at_the_budget(monkeypatch, lift):
@@ -71,7 +89,7 @@ def test_iterations_stop_at_the_budget(monkeypatch, lift):
     gen = np.random.default_rng(5)
     FA, FB = gen.standard_normal((2, 3, 3))
     block, b = lift(FA @ FA.T + 0.1 * np.eye(3), FB @ FB.T + 0.1 * np.eye(3))
-    sol = sdp.solve(b, [block], np.zeros(9), np.full(9, -1))
+    sol = sdp.solve(b, [block], np.zeros(9), sdp.Structure([block], np.full(9, -1)))
     assert sol.iterations == 2 and not sol.converged
 
 
@@ -92,8 +110,8 @@ def test_solution_W_is_a_dual_point_of_the_witness_programs(monkeypatch, klev4, 
     # and has the dual objective the solver reports.
     runs, solve = [], sdp.solve
 
-    def spy(b, blocks, y0, group):
-        sol = solve(b, blocks, y0, group)
+    def spy(b, blocks, y0, st):
+        sol = solve(b, blocks, y0, st)
         runs.append((b, blocks, sol))
         return sol
 
@@ -130,21 +148,25 @@ def test_linear_cone_matches_its_matrix_form(monkeypatch, klev4):
     # measured, in score mode). The duals agree only to the stopping rule:
     # the genuine program stalls with gaps of 7e-9 and 2e-8, and its dual
     # multipliers, about 0.5, differ by 3.3e-7; the score-mode ones are 1.
+    # The re-posed blocks need a structure of their own.
     runs, solve = [], sdp.solve
 
-    def spy(b, blocks, y0, group):
-        runs.append((b, blocks, y0, group))
-        return solve(b, blocks, y0, group)
+    def spy(b, blocks, y0, st):
+        runs.append((b, blocks, y0, st))
+        return solve(b, blocks, y0, st)
 
     monkeypatch.setattr(sdp, "solve", spy)
     genuine_search(klev4, s_level=4.0)
     optimize_witness(klev4, bipartitions(4))
     assert len(runs) == 2
-    for b, blocks, y0, group in runs:
+    for b, blocks, y0, st in runs:
         linear = [j for j, block in enumerate(blocks) if block.F0.shape == (1, 1)]
         assert len(linear) == 7
         posed = [_as_matrix(blk) if j in linear else blk for j, blk in enumerate(blocks)]
-        cone, matrix = solve(b, blocks, y0, group), solve(b, posed, y0, group)
+        with pytest.raises(ValueError, match="structure was built from"):
+            solve(b, posed, y0, st)
+        cone = solve(b, blocks, y0, st)
+        matrix = solve(b, posed, y0, sdp.Structure(posed, st.group))
         assert cone.converged and matrix.converged
         tol = 1e-9 * (1 + abs(cone.primal))
         assert cone.primal == pytest.approx(matrix.primal, abs=tol)
@@ -166,11 +188,13 @@ def test_linear_rows_are_checked_like_blocks():
     b, y0 = np.array([1.0, 1.0]), np.array([0.1, 0.1])
     ceiling = [row(1.0, [0], [-1.0]), row(1.0, [1], [-1.0])]
     with pytest.raises(ValueError, match="two variable groups share a block"):
-        sdp.solve(b, ceiling + [row(1.0, [0, 1], [-1.0, -1.0])], y0, np.array([0, 1]))
+        sdp.Structure(ceiling + [row(1.0, [0, 1], [-1.0, -1.0])], np.array([0, 1]))
     for F0 in (-0.2, -0.1):  # z(y0) = F0 + 0.1 is 0, then negative
+        blocks = ceiling + [row(F0, [0], [1.0])]
         with pytest.raises(ValueError, match="the starting point is not strictly feasible"):
-            sdp.solve(b, ceiling + [row(F0, [0], [1.0])], y0, np.array([0, 1]))
-    sol = sdp.solve(b, ceiling + [row(0.0, [0], [1.0])], y0, np.array([0, 1]))
+            sdp.solve(b, blocks, y0, sdp.Structure(blocks, np.array([0, 1])))
+    blocks = ceiling + [row(0.0, [0], [1.0])]
+    sol = sdp.solve(b, blocks, y0, sdp.Structure(blocks, np.array([0, 1])))
     assert sol.converged and sol.primal == pytest.approx(2.0, abs=1e-7)
 
 
@@ -180,13 +204,13 @@ def test_numerical_breakdown_returns_the_best_feasible_iterate(monkeypatch, klev
     # Z_j(y) built densely from the block terms, and the primal is b.y.
     runs, solve, inv_chol = [], sdp.solve, sdp._inv_chol
 
-    def spy(b, blocks, y0, group):
-        runs.append((b, blocks, y0, group))
-        return solve(b, blocks, y0, group)
+    def spy(b, blocks, y0, st):
+        runs.append((b, blocks, y0, st))
+        return solve(b, blocks, y0, st)
 
     monkeypatch.setattr(sdp, "solve", spy)
     genuine_search(klev4, s_level=4.0)
-    ((b, blocks, y0, group),) = runs
+    ((b, blocks, y0, st),) = runs
     calls = []
 
     def counted(A):
@@ -197,10 +221,10 @@ def test_numerical_breakdown_returns_the_best_feasible_iterate(monkeypatch, klev
 
     monkeypatch.setattr(sdp, "_inv_chol", counted)
     fail_at = None
-    full = solve(b, blocks, y0, group)
+    full = solve(b, blocks, y0, st)
     fail_at, total = len(calls) // 2, len(calls)
     calls.clear()
-    sol = solve(b, blocks, y0, group)
+    sol = solve(b, blocks, y0, st)
     assert len(calls) == fail_at < total
     assert full.converged and not sol.converged
     assert 0 < sol.iterations < full.iterations

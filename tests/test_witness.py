@@ -301,13 +301,16 @@ def test_reports_serialization(klev4, genuine_witness):
 @pytest.mark.parametrize("a, b", [(0.56, 0.41), (1.0, 0.3), (0.7, 0.2)])
 def test_rank_one_vectors_print_one_sign_when_entries_tie(a, b):
     # (a, -a, b, b): the first two entries tie in magnitude, so a 1-ulp change
-    # in either must not decide which one prints positive.
+    # in either must not decide which one prints positive, nor a change of
+    # 1e-4 relative: the solver returns such ties (ppt4's single-mode cuts)
+    # up to 5.6e-5 apart. Vectors and matrices alike.
     texts = set()
     for i in (0, 1):
-        for toward in (np.inf, -np.inf):
+        for move in (np.inf, -np.inf, 1 + 1e-4, 1 - 1e-4):
             h = np.array([a, -a, b, b])
-            h[i] = np.nextafter(h[i], toward)
+            h[i] = h[i] * move if np.isfinite(move) else np.nextafter(h[i], move)
             texts.add(_describe_witness(WitnessPair(np.outer(h, h), np.outer(h, h))))
+            texts.add(_describe_witness(WitnessPair.rank_one(h, -h)))
     v = f"({a:.2f}, {-a:.2f}, {b:.2f}, {b:.2f})"
     assert texts == {f"h={v} g={v}"}
 

@@ -56,6 +56,7 @@ from .witness import (
     measurement_sigma,
     optimize_witness,
     random_rank_one_search,
+    rank_one_optimum,
     reports_table,
     reports_to_json,
     violation_score,
@@ -96,6 +97,7 @@ __all__ = [
     "quantum_bound",
     "random_rank_one_search",
     "rank_one_bound",
+    "rank_one_optimum",
     "reports_table",
     "reports_to_json",
     "save_state",

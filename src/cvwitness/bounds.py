@@ -145,11 +145,14 @@ def lmi_separability_test(
 ) -> tuple[bool, float, tuple[int, ...]]:
     """Sign-matrix separability test.
 
-    A state separable w.r.t. p keeps [[gxx, E/2], [E/2, gpp]] PSD for every
-    diagonal sign matrix E constant on blocks. Enumerates the 2^(k-1)
+    A state separable w.r.t. p keeps M_E = [[gxx, E/2], [E/2, gpp]] PSD for
+    every diagonal sign matrix E constant on blocks. Enumerates the 2^(k-1)
     patterns (global sign is irrelevant; the first block is fixed to +1) and
     returns (violated, most negative eigenvalue found, per-mode worst pattern).
     The block count is capped at 12 to keep the enumeration tractable.
+    For v = (h, g), B_p(hh^T, gg^T) - G = max_E -v^T M_E v: minus the most
+    negative eigenvalue is the largest raw margin of a unit rank-one witness,
+    attained by the worst pattern's eigenvector (witness.rank_one_optimum).
     """
     _partition_list(p, s.n)
     if p.k > 12:

@@ -6,9 +6,9 @@ witnesses, or the optimal witness per partition or for genuine multipartite
 entanglement from the convex solver), and
 reproduce (recompute the bundled reference results and compare).
 
-Exit codes: 0 = ran, nothing certified / all values reproduced; 1 =
-entanglement certified (bound/check/search) or a reproduction mismatch;
-2 = usage or input error. witness._certified decides what a search certifies.
+Exit codes: 0 = ran, nothing certified / all values reproduced; 1 = entanglement
+certified (bound/check/search) or a reproduction mismatch; 2 = usage or input
+error. witness._certified decides what search and check certify.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .bounds import (
     symmetric_witness,
     table1_bounds,
 )
-from .linalg import PSD_TOL, alt_inequality_gap, quantum_bound
+from .linalg import alt_inequality_gap, quantum_bound
 from .partitions import Partition, PartitionError, bipartitions, parse_partition
 from .partitions import _block_text
 from .states import (
@@ -58,6 +58,7 @@ from .witness import (
     genuine_search,
     optimize_witness,
     random_rank_one_search,
+    rank_one_optimum,
     reports_table,
     reports_to_json,
     violation_score,
@@ -149,14 +150,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"{'physical' if physical else 'NOT physical'} "
         f"(min symplectic eigenvalue {smallest:.6f}, needs >= 0.5)"
     )
-    # The all-plus sign pattern is the physicality condition at PSD_TOL, tighter than
-    # is_physical's slack: on a physical state only LMI results below it count.
-    floor = min(lmi_separability_test(state, Partition.trivial(n))[1], 0.0) - PSD_TOL
     certified = False
     results = []
     for p in parts:
         violated, min_eig, pattern = lmi_separability_test(state, p)
-        counted = min_eig < floor
+        # A cut whose LMI minimum is not below 0 has no positive rank-one margin.
+        counted = physical and min_eig < 0 and _certified(
+            rank_one_optimum(state, p), state, 0.0, nu_min=smallest
+        )
         print(f"partition {p.text}:")
         pts = []
         # one block has no partial transpose; complementary flips share a
@@ -173,7 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"(min eigenvalue {min_eig:.6f}, worst pattern {pattern})"
             f"{' within the physicality tolerance' if slack else ''}"
         )
-        certified |= physical and counted
+        certified |= counted
         results.append(
             {
                 "partition": p.text,
@@ -233,15 +234,16 @@ def cmd_search(args: argparse.Namespace) -> int:
                 print(_UNPHYSICAL)
                 _write_json(args.json, lambda: reports_to_json([]))
                 return 0
-        # Rank-one draws cannot reach the matrix witnesses some states need, so
-        # margin mode defaults to the convex search.
+        # Rank-one witnesses, even the best, miss the matrix witnesses some states
+        # need, so margin mode defaults to the convex search.
         method = args.method or ("optimize" if args.no_error else "random")
         if method == "optimize":
             reports = optimize_witness(state, parts, no_error=args.no_error)
+        elif args.no_error:
+            reports = rank_one_optimum(state, parts)
         else:
             reports = random_rank_one_search(
-                state, parts, trials=args.trials, seed=args.seed,
-                threads=args.threads, no_error=args.no_error,
+                state, parts, trials=args.trials, seed=args.seed, threads=args.threads
             )
         hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
         found = bool(hits)
@@ -408,13 +410,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("random", "optimize"),
         default=None,
-        help="witness search method (default: random; optimize with --no-error)",
+        help="random: rank-one witnesses, drawn, or with --no-error the exact best one; "
+        "optimize: the convex solver's optimum (default: random; optimize with --no-error)",
     )
     s.add_argument(
         "--trials",
         type=int,
         default=10**6,
-        help="random rank-one witnesses drawn; one set scores every partition",
+        help="random rank-one witnesses drawn; one set scores every partition "
+        "(not read with --no-error)",
     )
     s.add_argument("--seed", type=int, default=0)
     s.add_argument(

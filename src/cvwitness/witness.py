@@ -4,10 +4,10 @@ Measured covariances come with per-element standard deviations, so a witness
 value G is only trusted up to sigma(X, P). A partition is refuted at level s
 when G + s*sigma still falls below the separability bound B_I. This module
 scores witnesses, converts levels to confidences, and finds violating
-witnesses: random rank-one sampling, and the exact optimum of a convex
-program by raw margin per partition (_werner_wolf) or by score, per partition
-or for genuine multipartite entanglement (_lift), with the solver's duality
-gap; the seed does not change it. Every search ends in _report, which
+witnesses: random rank-one sampling, the best rank-one margin (an eigenvector),
+and the exact optimum of a convex program by raw margin per partition
+(_werner_wolf) or by score, per cut or for genuine multipartite entanglement
+(_lift), with the solver's duality gap. Every search ends in _report, which
 rescores its winner, and in _certified, the one rule for whether it certifies.
 """
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import sdp
-from .bounds import WitnessPair, evaluate_G, rank_one_bound, separability_bound
+from .bounds import WitnessPair, evaluate_G, lmi_separability_test
+from .bounds import rank_one_bound, separability_bound
 from .linalg import _frozen
 from .partitions import Partition, _partition_list, bipartitions, free_mask
 from .states import CVState, is_physical
@@ -148,8 +149,8 @@ def _certified(
     """Whether a search report certifies. One block certifies nothing: B(X, P)
     bounds every physical state. A score must reach s_level, and its margin
     B_I - G beat its rounding bound, so at s_level = 0 a tie certifies
-    nothing. A raw margin must beat the solver's duality gap (none for random
-    witnesses), its own rounding bound, and (1/2 - nu_min)(tr X + tr P):
+    nothing. A raw margin must beat the solver's duality gap (none off the
+    solver), its own rounding bound, and (1/2 - nu_min)(tr X + tr P):
     nu_min is superadditive, so gamma + (1/2 - nu_min) I is physical, and a
     separable state that close moves G by at most that. nu_min defaults to
     is_physical(state)[1]."""
@@ -201,7 +202,6 @@ def random_rank_one_search(
     trials: int = 10**6,
     seed: int = 0,
     threads: int | None = None,
-    no_error: bool = False,
 ) -> ViolationReport | list[ViolationReport]:
     """Best violation over trials random rank-one witnesses X=hh^T, P=gg^T.
 
@@ -210,9 +210,8 @@ def random_rank_one_search(
     from Philox streams keyed by (seed, batch), scores every partition, so
     results equal those of one call per partition. Ties go to the lowest
     trial index, whatever the thread count. Winners are rank-one
-    WitnessPairs, whose bound is the closed form. With no_error=True trials
-    are ranked by the raw margin B_I - G (sigma set to 1); otherwise an
-    all-zero error model raises ZeroSigma at once.
+    WitnessPairs, whose bound is the closed form. An all-zero error model
+    raises ZeroSigma at once.
 
     Pruning. The computed S_t = sum_i |h_i g_i| (1 + 1e-12) (_trial_bound)
     is at least every computed B_I of trial t: |sum_b h_i g_i| <=
@@ -231,8 +230,7 @@ def random_rank_one_search(
     """
     _at_least("trials", trials, 1)
     _check_seed(seed)
-    if not no_error:
-        _require_model(s, score=True)
+    _require_model(s, score=True)
     parts = _partition_list(p, s.n)
     n = s.n
     batches = range((trials + _BATCH - 1) // _BATCH)
@@ -240,8 +238,7 @@ def random_rank_one_search(
     if not parts:
         return []
     gxx, gpp = s.gamma_xx, s.gamma_pp
-    if not no_error:
-        sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
+    sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
 
     def run_batch(b: int) -> list[tuple[float, int, np.ndarray, np.ndarray]]:
         size = min(_BATCH, trials - b * _BATCH)
@@ -253,8 +250,8 @@ def random_rank_one_search(
             margin[tile] = _trial_bound(T[:n].T, T[n:].T) - gval[tile]
 
         def sigma(rows):  # sigma^2 of rows, _TILE rows at a time
-            var = np.ones(rows.size)
-            for lo in range(0, 0 if no_error else rows.size, _TILE):
+            var = np.empty(rows.size)
+            for lo in range(0, rows.size, _TILE):
                 T = Z[rows[lo : lo + _TILE]].T.copy()  # (2n, tile), contiguous
                 np.square(T, out=T)
                 var[lo : lo + _TILE] = _quad(T[:n], sxx2) + _quad(T[n:], spp2)
@@ -300,7 +297,21 @@ def random_rank_one_search(
         score, _, h, g = max((r[j] for r in results), key=lambda r: (r[0], -r[1]))
         if score == -np.inf:
             raise ZeroSigma("every trial had zero sigma; check the error model")
-        reports.append(_report(WitnessPair.rank_one(h, g), s, q, not no_error))
+        reports.append(_report(WitnessPair.rank_one(h, g), s, q, True))
+    return reports[0] if isinstance(p, Partition) else reports
+
+
+def rank_one_optimum(
+    s: CVState, p: Partition | Sequence[Partition]
+) -> ViolationReport | list[ViolationReport]:
+    """The unit rank-one witness X=hh^T, P=gg^T of largest raw margin B_I - G:
+    the eigenvector of lmi_separability_test's worst pattern (see there). One
+    report per partition, as random_rank_one_search; PartitionError above 12 blocks."""
+    reports = []
+    for q in _partition_list(p, s.n):
+        half = np.diag(lmi_separability_test(s, q)[2]) / 2.0
+        v = np.linalg.eigh(np.block([[s.gamma_xx, half], [half, s.gamma_pp]]))[1][:, 0]
+        reports.append(_report(WitnessPair.rank_one(v[: s.n], v[s.n :]), s, q, False))
     return reports[0] if isinstance(p, Partition) else reports
 
 

@@ -220,8 +220,9 @@ def _boundary_product_states(n, delta):
 @pytest.mark.parametrize("delta", [5e-10, 9e-10])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_check_boundary_product_states_detect_nothing(capsys, tmp_path, n, delta):
-    # The all-plus sign pattern, itself the physicality condition, dips below
-    # -PSD_TOL but no pattern goes lower, so nothing is entanglement.
+    # Every sign pattern dips below -PSD_TOL, but the best rank-one margin,
+    # delta, is what the physicality slack allows: the vacuum, a separable
+    # state, lies delta * I above these states, so nothing is entanglement.
     for state in _boundary_product_states(n, delta):
         path = tmp_path / "edge.json"
         save_state(state, path)
@@ -237,8 +238,9 @@ def test_check_boundary_product_states_detect_nothing(capsys, tmp_path, n, delta
 @pytest.mark.parametrize("delta", [5e-10, 9e-10])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_search_boundary_product_states_certify_nothing(capsys, tmp_path, n, delta):
-    # Raw margins of about 1e-9 sit within what the physicality slack allows:
-    # the vacuum, a separable state, lies delta * I above these states.
+    # Raw margins of about 1e-9, from the solver or the exact rank-one
+    # optimum, sit within what the physicality slack allows: the vacuum, a
+    # separable state, lies delta * I above these states.
     for state in _boundary_product_states(n, delta):
         path = tmp_path / "edge.json"
         save_state(state, path)

@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from cvwitness import sdp
-from cvwitness.bounds import WitnessPair, lmi_separability_test
+from cvwitness.bounds import WitnessPair, lmi_separability_test, rank_one_bound
 from cvwitness.cli import _certified, main
-from cvwitness.partitions import Partition, bipartitions, parse_partition
-from cvwitness.states import make_state
+from cvwitness.partitions import Partition, PartitionError, bipartitions, parse_partition
+from cvwitness.states import make_state, save_state
 from cvwitness.witness import (
     _werner_wolf,
     genuine_search,
     optimize_witness,
     random_rank_one_search,
+    rank_one_optimum,
     rounding_bound,
     violation_score,
 )
@@ -66,7 +67,8 @@ def test_certification_threshold(ppt4):
             assert _certified(forged, ppt4, 0.0) is want
 
 
-def test_margin_mode_certifies_every_lmi_flagged_cut(ppt4, klev4):
+def _lmi_corpus(ppt4, klev4) -> list:
+    # ppt4, klev4, 200 random states, and shifted copies near the threshold.
     gen = np.random.default_rng(2015)
     states = [ppt4, klev4]
     for i in range(200):
@@ -78,13 +80,85 @@ def test_margin_mode_certifies_every_lmi_flagged_cut(ppt4, klev4):
             # violated cut sits 2e-6 past the flagging threshold of 0.
             eye = (worst - 2e-6) * np.eye(s.n)
             states.append(make_state(s.gamma_xx + eye, s.gamma_pp + eye))
+    return states
+
+
+def test_margin_mode_certifies_every_lmi_flagged_cut(ppt4, klev4):
     flagged_cuts = 0
-    for s in states:
+    for s in _lmi_corpus(ppt4, klev4):
         flagged = [p for p in bipartitions(s.n) if lmi_separability_test(s, p)[1] < -1e-6]
         for r in optimize_witness(s, flagged, no_error=True):
             assert _certified(r, s, 0.0), (r.partition.text, r.bound - r.G, r.gap)
         flagged_cuts += len(flagged)
     assert flagged_cuts > 500
+
+
+def _worst_sign_pattern(s, p: Partition) -> float:
+    # -lambda_min of [[gxx, E/2], [E/2, gpp]], maximized over the diagonal
+    # sign matrices E constant on blocks, enumerated here in plain numpy.
+    worst = -np.inf
+    for bits in range(2 ** (p.k - 1)):
+        signs = np.array([1.0] + [-1.0 if bits >> b & 1 else 1.0 for b in range(p.k - 1)])
+        E = np.diag(signs[p.labels]) / 2
+        M = np.block([[s.gamma_xx, E], [E, s.gamma_pp]])
+        worst = max(worst, -np.linalg.eigvalsh(M)[0])
+    return worst
+
+
+def test_rank_one_optimum_is_the_worst_sign_pattern(ppt4, klev4):
+    # The best unit rank-one margin is -lambda_min of the worst pattern, and
+    # no seeded draw beats it per unit norm ||h||^2 + ||g||^2 on ppt4, the
+    # five-mode state and every 25th state of the corpus.
+    states = [_network_state(5, 1)] + _lmi_corpus(ppt4, klev4)
+    gen = np.random.default_rng(24)
+    for i, s in enumerate(states):
+        parts = bipartitions(s.n)
+        reports = rank_one_optimum(s, parts)
+        for r in reports:
+            h, g = r.witness.h, r.witness.g
+            assert r.sigma is None and r.s is None
+            assert h @ h + g @ g == pytest.approx(1.0, rel=1e-12)
+            margin, scale = r.bound - r.G, r.bound + r.G
+            want = _worst_sign_pattern(s, r.partition)
+            assert margin == pytest.approx(want, abs=1e-12 * scale), r.partition.text
+        if i > 1 and i % 25:
+            continue
+        H, Gv = gen.standard_normal((2, 65536, s.n))
+        G = ((H @ s.gamma_xx) * H).sum(axis=1) + ((Gv @ s.gamma_pp) * Gv).sum(axis=1)
+        norm = (H**2).sum(axis=1) + (Gv**2).sum(axis=1)
+        drawn = (rank_one_bound(H, Gv, parts) - G) / norm
+        for r, best in zip(reports, drawn.max(axis=1)):
+            assert best <= r.bound - r.G + 1e-12 * (r.bound + r.G), r.partition.text
+    certified = [r.partition.text for r in rank_one_optimum(ppt4, bipartitions(4))
+                 if _certified(r, ppt4, 0.0)]
+    assert certified == ["1|234", "2|134", "3|124", "4|123"]
+    five = _network_state(5, 1)
+    assert all(_certified(r, five, 0.0) for r in rank_one_optimum(five, bipartitions(5)))
+    g = 0.5 * np.eye(13)
+    with pytest.raises(PartitionError, match="got 13"):
+        rank_one_optimum(make_state(g, g), Partition.singletons(13))
+
+
+def test_check_exit_code_follows_its_json(capsys, tmp_path, ppt4, klev4):
+    # check certifies exactly when the state is physical and some cut has an
+    # LMI violation or an unphysical partial transpose, as its --json says.
+    dest, path = tmp_path / "check.json", tmp_path / "state.json"
+    sources = ["ppt4", "klev4", "vacuum4"]
+    for s in _lmi_corpus(ppt4, klev4)[2:]:
+        save_state(s, path)
+        sources.append(str(path))
+    codes = []
+    for source in sources:
+        code = main(["check", "--state", str(source), "--json", str(dest)])
+        capsys.readouterr()
+        doc = json.loads(dest.read_text())
+        flagged = any(
+            row["lmi_violated"] or not all(t["physical"] for t in row["partial_transposes"])
+            for row in doc["partitions"]
+        )
+        assert code == int(doc["physical"] and flagged), source
+        codes.append(code)
+    assert codes[:3] == [1, 0, 0] and 0 < sum(codes) < len(codes)
 
 
 def _separable_state(gen: np.random.Generator, n: int):
@@ -177,9 +251,10 @@ def test_solver_output_does_not_depend_on_the_seed(capsys, tmp_path, argv):
 
 
 def test_optimum_beats_every_random_witness(klev4):
-    # Any witness is a feasible point, so no rank-one draw may beat the
-    # optimum: per cut in both modes, and for the lowest level over all
-    # bipartitions in the genuine search. Scores count only when positive:
+    # Any witness is a feasible point, so no rank-one witness may beat the
+    # optimum: per cut, the best draw by score and the best rank-one witness
+    # by margin, and for the lowest level over all bipartitions in the
+    # genuine search. Scores count only when positive:
     # below 0 the program's optimum is 0, whatever the best negative score.
     gen = np.random.default_rng(9)
     states = [klev4] + [_random_state(gen, n) for n in (3, 4, 5)]
@@ -191,9 +266,9 @@ def test_optimum_beats_every_random_witness(klev4):
         drawn = random_rank_one_search(s, parts, trials=65536, seed=4)
         for r, q in zip(optimize_witness(s, parts), drawn):
             assert q.s <= 0 or r.s >= q.s - 1e-6 * (1 + q.s), r.partition.text
-        drawn = random_rank_one_search(s, parts, trials=65536, seed=4, no_error=True)
-        for r, q in zip(optimize_witness(s, parts, no_error=True), drawn):
-            # Random witnesses are not normalized: compare margins at G = 1.
+        best_rank_one = rank_one_optimum(s, parts)
+        for r, q in zip(optimize_witness(s, parts, no_error=True), best_rank_one):
+            # The rank-one optimum is a unit witness: compare margins at G = 1.
             assert r.bound - r.G >= (q.bound - q.G) / q.G - 1e-9, r.partition.text
         found, w, reports = genuine_search(s, s_level=0.0)
         best = min(violation_score(w, s, p).s for p in parts)

@@ -45,35 +45,25 @@ def _assert_same(a, b) -> None:
     assert np.array_equal(a.witness.P, b.witness.P)
 
 
-# Every draw is standard normal, named "normal" in the test ids.
-NORMAL = ["False-normal", "True-normal"]
+# Every draw is standard normal, named "normal" in the test ids; "False"
+# there is the error-aware score, the sweep's only ranking.
+NORMAL = pytest.mark.parametrize("draws", ["normal"], ids=["False-normal"])
 
 
-@pytest.mark.parametrize(
-    "name, no_error",
-    [
-        pytest.param("klev4", False, id="klev4-normal-False"),
-        pytest.param("ppt4", True, id="ppt4-normal-True"),
-    ],
-)
-def test_sweep_equals_per_partition_calls(request, name, no_error):
+@pytest.mark.parametrize("name", [pytest.param("klev4", id="klev4-normal-False")])
+def test_sweep_equals_per_partition_calls(request, name):
     state = request.getfixturevalue(name)
     parts = _parts()
     draws = dict(trials=3 * BATCH + 17, seed=41)
-    singles = [
-        random_rank_one_search(state, p, **draws, threads=1, no_error=no_error)
-        for p in parts
-    ]
+    singles = [random_rank_one_search(state, p, **draws, threads=1) for p in parts]
     for threads in (1, 2):
-        swept = random_rank_one_search(
-            state, parts, **draws, threads=threads, no_error=no_error
-        )
+        swept = random_rank_one_search(state, parts, **draws, threads=threads)
         assert len(swept) == len(parts)
         for a, b in zip(swept, singles):
             _assert_same(a, b)
 
 
-def _oracle_winners(state, parts, seed: int, trials: int, no_error: bool = False):
+def _oracle_winners(state, parts, seed: int, trials: int):
     n = state.n
     draws = []
     for b in range((trials + BATCH - 1) // BATCH):
@@ -85,18 +75,17 @@ def _oracle_winners(state, parts, seed: int, trials: int, no_error: bool = False
     gval = ((H @ state.gamma_xx) * H).sum(axis=1) + ((G @ state.gamma_pp) * G).sum(
         axis=1
     )
-    if not no_error:
-        H2, G2 = H**2, G**2
-        var = ((H2 @ state.sigma_xx**2) * H2).sum(axis=1) + (
-            (G2 @ state.sigma_pp**2) * G2
-        ).sum(axis=1)
+    H2, G2 = H**2, G**2
+    var = ((H2 @ state.sigma_xx**2) * H2).sum(axis=1) + (
+        (G2 @ state.sigma_pp**2) * G2
+    ).sum(axis=1)
     winners = []
     for p in parts:
         bound = np.zeros(len(Z))
         for block in p.blocks:
             cols = [i - 1 for i in block]
             bound += np.abs((H[:, cols] * G[:, cols]).sum(axis=1))
-        score = bound - gval if no_error else (bound - gval) / np.sqrt(var)
+        score = (bound - gval) / np.sqrt(var)
         k = int(np.argmax(score))  # first maximum: lowest trial index
         winners.append((H[k], G[k], score[k]))
     return winners
@@ -159,8 +148,8 @@ def _six_mode_state():
 
 
 @pytest.mark.parametrize("trials", [17, 64, 3 * BATCH + 17])
-@pytest.mark.parametrize("no_error", [False, True], ids=NORMAL)
-def test_pruned_sweep_matches_oracle_on_six_modes(trials, no_error):
+@NORMAL
+def test_pruned_sweep_matches_oracle_on_six_modes(trials, draws):
     # Fewer trials than the probe, exactly the probe, and a partial last
     # batch; the finest partition's score is the trial bound up to its slack.
     state = _six_mode_state()
@@ -169,19 +158,18 @@ def test_pruned_sweep_matches_oracle_on_six_modes(trials, no_error):
         parse_partition("12|34|56", 6),
     ]
     seed = 77
-    winners = _oracle_winners(state, parts, seed, trials, no_error)
+    winners = _oracle_winners(state, parts, seed, trials)
     for threads in (1, 2):
         reports = random_rank_one_search(
-            state, parts, trials=trials, seed=seed, threads=threads, no_error=no_error
+            state, parts, trials=trials, seed=seed, threads=threads
         )
         for r, (h, g, score) in zip(reports, winners):
             assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
             assert np.array_equal(r.witness.P, np.outer(g, g)), r.partition.text
             # Reports are rescored through separability_bound, whose error
             # scales with G and B_I, not with their difference.
-            got = r.bound - r.G if no_error else r.s
-            tol = 1e-9 * (r.G + r.bound) / (1.0 if no_error else r.sigma)
-            assert got == pytest.approx(score, abs=tol), r.partition.text
+            tol = 1e-9 * (r.G + r.bound) / r.sigma
+            assert r.s == pytest.approx(score, abs=tol), r.partition.text
 
 
 def _tile_edge_case(request, name: str):
@@ -201,16 +189,16 @@ def _tile_edge_case(request, name: str):
 
 @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, BATCH + 4097])
 @pytest.mark.parametrize("name", ["one-mode", "klev4", "twelve"])
-@pytest.mark.parametrize("no_error", [False, True], ids=NORMAL)
-def test_winners_match_oracle_at_tile_edges(request, trials, name, no_error):
+@NORMAL
+def test_winners_match_oracle_at_tile_edges(request, trials, name, draws):
     # One trial, one short of a 4096-trial tile, one tile exactly, one past
     # it, and a second batch that ends one past a tile.
     state, parts = _tile_edge_case(request, name)
     seed = 1009
-    winners = _oracle_winners(state, parts, seed, trials, no_error)
+    winners = _oracle_winners(state, parts, seed, trials)
     for threads in (1, 2):
         reports = random_rank_one_search(
-            state, parts, trials=trials, seed=seed, threads=threads, no_error=no_error
+            state, parts, trials=trials, seed=seed, threads=threads
         )
         for r, (h, g, _) in zip(reports, winners):
             assert np.array_equal(r.witness.X, np.outer(h, h)), r.partition.text
@@ -325,29 +313,27 @@ def _pair_and_vacua():
     return make_state(gxx, gpp, sigma, sigma)
 
 
-@pytest.mark.parametrize("name", ["pair-vacua", "vacuum4", "ppt4"])
+@pytest.mark.parametrize("name", ["pair-vacua", "vacuum4"])
 def test_both_sweep_branches_match_oracle(request, name):
     # A partition with a positive score is won among the trials of positive
     # trial-bound margin; every other one falls back to the probe scan.
-    # Both must give the oracle's winner, bit for bit, on any thread count.
+    # Both must give the oracle's winner, bit for bit, on any thread count:
+    # pair-vacua takes both branches in one sweep, vacuum4 only the fallback.
     if name == "pair-vacua":
         state = _pair_and_vacua()
     else:
         state = request.getfixturevalue(name)
-    no_error = name == "ppt4"
     parts = bipartitions(4)
     seed, trials = 5, 2 * BATCH + 17
-    winners = _oracle_winners(state, parts, seed, trials, no_error)
+    winners = _oracle_winners(state, parts, seed, trials)
     positive = {p.text for p, (_, _, score) in zip(parts, winners) if score > 0}
     if name == "pair-vacua":
         assert positive == {"1|234", "2|134", "13|24", "14|23"}
-    elif name == "vacuum4":
-        assert positive == set()
     else:
-        assert 0 < len(positive) < len(parts)
+        assert positive == set()
     for threads in (1, 2):
         reports = random_rank_one_search(
-            state, parts, trials=trials, seed=seed, threads=threads, no_error=no_error
+            state, parts, trials=trials, seed=seed, threads=threads
         )
         for r, (h, g, _) in zip(reports, winners):
             assert np.array_equal(r.witness.h, h), r.partition.text

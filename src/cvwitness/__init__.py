@@ -10,7 +10,6 @@ witnesses certifying (genuine) multipartite entanglement.
 from __future__ import annotations
 
 from .bounds import (
-    BoundResult,
     Table1Row,
     WitnessPair,
     analytic_biseparable_bound,
@@ -65,7 +64,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundResult",
     "CVState",
     "MissingErrorModel",
     "NotPSD",

@@ -3,8 +3,9 @@
 The central quantity is the partition bound B_I(X, P): the maximum of the
 quantumness bound over all witnesses that agree with (X, P) on within-block
 entries while the cross-block entries run free. It has the closed form
-B_I(X, P) = sum over blocks b of B(X_bb, P_bb), attained by the
-block-diagonal witness. Any state separable with respect to partition I
+B_I(X, P) = sum over blocks b of B(X_bb, P_bb), a float from
+separability_bound, attained by the block-diagonal witness that
+_block_certificate builds. Any state separable with respect to partition I
 satisfies G >= B_I(X, P), so a measured G below the bound certifies
 entanglement across I.
 """
@@ -66,15 +67,6 @@ class WitnessPair:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BoundResult:
-    """Partition bound and the block-diagonal witness attaining it."""
-
-    value: float
-    certificate_X: np.ndarray
-    certificate_P: np.ndarray
-
-
 class Table1Row(NamedTuple):
     q: float
     a: float | None
@@ -89,7 +81,7 @@ def evaluate_G(w: WitnessPair, s: CVState) -> float:
     return float(np.sum(w.X * s.gamma_xx) + np.sum(w.P * s.gamma_pp))
 
 
-def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
+def separability_bound(w: WitnessPair, p: Partition) -> float:
     """Partition bound B_p(X, P) = sum over blocks b of B(X_bb, P_bb).
 
     Proof of the closed form: a p-separable state is a mixture of block
@@ -98,20 +90,22 @@ def separability_bound(w: WitnessPair, p: Partition) -> BoundResult:
     minimizers attains every term, so no larger bound holds. The block terms
     are added in block order, starting from 0.0. A rank-one pair takes the
     closed form rank_one_bound: B(h_b h_b^T, g_b g_b^T) = |<h_b, g_b>|.
-
-    The certificate is the witness with its cross-block entries zeroed: it
-    keeps every within-block entry of (X, P) exactly, stays PSD, and its
-    quantumness bound equals the returned value.
+    _block_certificate gives the block-diagonal witness that attains it.
     """
     _partition_list(p, w.n, "witness")
     if w.h is not None:
-        value = rank_one_bound(w.h, w.g, p)
-    else:
-        value = 0.0
-        for idx in p.indices:
-            value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
-    mask = free_mask(p)
-    return BoundResult(value, *(_frozen(np.where(mask, 0.0, M)) for M in (w.X, w.P)))
+        return rank_one_bound(w.h, w.g, p)
+    value = 0.0
+    for idx in p.indices:
+        value += quantum_bound(w.X[idx[:, None], idx], w.P[idx[:, None], idx])
+    return value
+
+
+def _block_certificate(w: WitnessPair, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(X, P) with the cross-block entries of p zeroed: it keeps every
+    within-block entry exactly, stays PSD, and its quantumness bound is
+    separability_bound(w, p)."""
+    return tuple(np.where(free_mask(p), 0.0, M) for M in (w.X, w.P))
 
 
 def rank_one_bound(
@@ -203,9 +197,6 @@ def table1_bounds(n: int) -> Table1Row:
     a = analytic_biseparable_bound(n) if n >= 3 else None
     b = None
     if n >= 3:
-        b = min(
-            separability_bound(w, rep).value
-            for rep in symmetric_bipartition_representatives(n)
-        )
-    f = separability_bound(w, Partition.singletons(n)).value
+        b = min(separability_bound(w, rep) for rep in symmetric_bipartition_representatives(n))
+    f = separability_bound(w, Partition.singletons(n))
     return Table1Row(float(q), a, b, float(f))

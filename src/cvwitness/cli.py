@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import (
     WitnessPair,
+    _block_certificate,
     evaluate_G,
     lmi_separability_test,
     separability_bound,
@@ -55,6 +56,7 @@ from .witness import (
     _at_least,
     _certified,
     _check_seed,
+    _rank_one_report,
     genuine_search,
     optimize_witness,
     random_rank_one_search,
@@ -119,20 +121,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(f"quantum bound B(X, P) = {B:.5f}")
     payload = {"n": n, "quantum_bound": B}
     if p.k > 1:
-        res = separability_bound(w, p)
-        print(f"partition bound B_{p.text}(X, P) = {res.value:.5f}")
-        print("  certificate X:")
-        print(_fmt_matrix(res.certificate_X))
-        print("  certificate P:")
-        print(_fmt_matrix(res.certificate_P))
-        payload.update(
-            {
-                "partition": p.text,
-                "bound": res.value,
-                "certificate_X": res.certificate_X.tolist(),
-                "certificate_P": res.certificate_P.tolist(),
-            }
-        )
+        value = separability_bound(w, p)
+        print(f"partition bound B_{p.text}(X, P) = {value:.5f}")
+        payload.update(partition=p.text, bound=value)
+        for name, M in zip("XP", _block_certificate(w, p)):
+            print(f"  certificate {name}:\n{_fmt_matrix(M)}")
+            payload[f"certificate_{name}"] = M.tolist()
     _write_json(args.json, lambda: json.dumps(payload))
     return 0
 
@@ -156,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         violated, min_eig, pattern = lmi_separability_test(state, p)
         # A cut whose LMI minimum is not below 0 has no positive rank-one margin.
         counted = physical and min_eig < 0 and _certified(
-            rank_one_optimum(state, p), state, 0.0, nu_min=smallest
+            _rank_one_report(state, p, pattern), state, 0.0, nu_min=smallest
         )
         print(f"partition {p.text}:")
         pts = []
@@ -286,16 +280,16 @@ def _reproduce_ppt4() -> tuple[bool, list[str], dict]:
     w = WitnessPair(PPT4_X, PPT4_P)
     G = evaluate_G(w, state)
     part = parse_partition("12|34", 4)
-    res = separability_bound(w, part)
+    bound = separability_bound(w, part)
     x, y, p, q = (PPT4_PARAMS[k] for k in ("x", "y", "p", "q"))
     cert = 2 * (np.sqrt(x * p) + np.sqrt(y * q))
     want = PPT4_EXPECTED["B_12|34"]
     checks = [("G", G, PPT4_EXPECTED["G"], 1e-6), ("B_12|34 cert", cert, want, 1e-6)]
-    payload = {"G": G, "certificate": cert, "bound": res.value}
+    payload = {"G": G, "certificate": cert, "bound": bound}
     ok, lines, _ = _checked(checks, payload)
-    ok3 = res.value >= want - 1e-8
+    ok3 = bound >= want - 1e-8
     lines.append(
-        f"  {'B_12|34':<12} computed {res.value:12.6f}   expected >= {want:.6f}"
+        f"  {'B_12|34':<12} computed {bound:12.6f}   expected >= {want:.6f}"
         f"            {'ok' if ok3 else 'MISMATCH'}"
     )
     violated, _, _ = lmi_separability_test(state, parse_partition("1|234", 4))

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import sdp
 from .bounds import WitnessPair, evaluate_G, lmi_separability_test
-from .bounds import rank_one_bound, separability_bound
+from .bounds import _block_certificate, rank_one_bound, separability_bound
 from .linalg import _frozen
-from .partitions import Partition, _partition_list, bipartitions, free_mask
+from .partitions import Partition, _partition_list, bipartitions
 from .states import CVState, is_physical
 
 _BATCH = 65536
@@ -99,7 +99,7 @@ def condition_E(w: WitnessPair, s: CVState, p: Partition, s_level: float) -> flo
     """E_I = G + s_level*sigma - B_I; negative refutes I-separability."""
     _at_least("s_level", s_level, 0)
     sigma = measurement_sigma(w, s) if s_level > 0 else 0.0
-    return evaluate_G(w, s) + s_level * sigma - separability_bound(w, p).value
+    return evaluate_G(w, s) + s_level * sigma - separability_bound(w, p)
 
 
 def confidence(s: float) -> float:
@@ -115,7 +115,7 @@ def violation_score(w: WitnessPair, s: CVState, p: Partition) -> ViolationReport
     sigma = measurement_sigma(w, s)
     if sigma <= 0.0:
         raise ZeroSigma("sigma(X, P) = 0; violation score undefined")
-    bound = separability_bound(w, p).value
+    bound = separability_bound(w, p)
     G = evaluate_G(w, s)
     score = (bound - G) / sigma
     conf = confidence(score) if score >= 0 else 1.0
@@ -127,7 +127,7 @@ def _report(w: WitnessPair, s: CVState, p: Partition, score: bool, **solver):
     else by the raw margin only. solver holds the converged and gap fields."""
     if score:
         return replace(violation_score(w, s, p), **solver)
-    bound = separability_bound(w, p).value
+    bound = separability_bound(w, p)
     return ViolationReport(p, evaluate_G(w, s), None, bound, None, None, w, **solver)
 
 
@@ -307,12 +307,18 @@ def rank_one_optimum(
     """The unit rank-one witness X=hh^T, P=gg^T of largest raw margin B_I - G:
     the eigenvector of lmi_separability_test's worst pattern (see there). One
     report per partition, as random_rank_one_search; PartitionError above 12 blocks."""
-    reports = []
-    for q in _partition_list(p, s.n):
-        half = np.diag(lmi_separability_test(s, q)[2]) / 2.0
-        v = np.linalg.eigh(np.block([[s.gamma_xx, half], [half, s.gamma_pp]]))[1][:, 0]
-        reports.append(_report(WitnessPair.rank_one(v[: s.n], v[s.n :]), s, q, False))
+    parts = _partition_list(p, s.n)
+    reports = [_rank_one_report(s, q, lmi_separability_test(s, q)[2]) for q in parts]
     return reports[0] if isinstance(p, Partition) else reports
+
+
+def _rank_one_report(s: CVState, p: Partition, pattern: Sequence[int]) -> ViolationReport:
+    """Raw-margin report of the unit eigenvector at the least eigenvalue of
+    [[gxx, E/2], [E/2, gpp]], E = diag(pattern); at p's worst pattern from
+    lmi_separability_test, it is rank_one_optimum's report for p."""
+    half = np.diag(pattern) / 2.0
+    v = np.linalg.eigh(np.block([[s.gamma_xx, half], [half, s.gamma_pp]]))[1][:, 0]
+    return _report(WitnessPair.rank_one(v[: s.n], v[s.n :]), s, p, False)
 
 
 def _fixed_block(*arrays) -> sdp.Block:
@@ -537,14 +543,15 @@ def _describe_witness(w: WitnessPair) -> str:
         a = np.abs(v)
         if v[np.argmax(a >= (1 - _SIGN_TIE) * a.max())] < 0:
             v = -v
-        parts.append(name + "=(" + ", ".join(f"{x:.2f}" for x in v) + ")")
+        text = ", ".join(f"{x:.2f}".replace("-0.00", "0.00") for x in v)
+        parts.append(f"{name}=({text})")
     return " ".join(parts)
 
 
 def report_to_dict(r: ViolationReport) -> dict:
     """JSON-ready view of a report (matrices row-major). The certificate is
-    the witness with its cross-block entries zeroed, which attains bound."""
-    mask = free_mask(r.partition)
+    _block_certificate of the witness, which attains bound."""
+    X, P = _block_certificate(r.witness, r.partition)
     return {
         "partition": r.partition.text,
         "G": r.G,
@@ -553,11 +560,7 @@ def report_to_dict(r: ViolationReport) -> dict:
         "s": r.s,
         "confidence": r.confidence,
         "witness": {"X": r.witness.X.tolist(), "P": r.witness.P.tolist()},
-        "certificate": {
-            "value": r.bound,
-            "X": np.where(mask, 0.0, r.witness.X).tolist(),
-            "P": np.where(mask, 0.0, r.witness.P).tolist(),
-        },
+        "certificate": {"value": r.bound, "X": X.tolist(), "P": P.tolist()},
         "converged": r.converged,
     } | ({} if r.gap is None else {"gap": r.gap})
 

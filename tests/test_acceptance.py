@@ -68,8 +68,7 @@ def test_criterion_2_bound_entangled_example(ppt4):
     assert evaluate_G(w, ppt4) == pytest.approx(0.435170, abs=1e-6)
     commuting = 2 * (np.sqrt(x * p_) + np.sqrt(y * q_))
     assert commuting == pytest.approx(0.481359, abs=1e-6)
-    res = separability_bound(w, parse_partition("12|34", 4))
-    assert res.value >= 0.481359 - 1e-8
+    assert separability_bound(w, parse_partition("12|34", 4)) >= 0.481359 - 1e-8
 
     for mode in (1, 2, 3, 4):
         ok, _ = is_physical(partial_transpose(ppt4, [mode]))
@@ -96,7 +95,7 @@ def test_criterion_3_genuine_certificate(klev4, genuine_witness, printed_certifi
     smin = np.inf
     for p in bipartitions(4):
         want, certX, certP = printed_certificates[p.text]
-        got = separability_bound(w, p).value
+        got = separability_bound(w, p)
         assert got == pytest.approx(want, abs=1e-3), p.text
         assert quantum_bound(certX, certP) == pytest.approx(want, abs=1e-3), p.text
         smin = min(smin, (got - G) / sigma)
@@ -137,7 +136,7 @@ def test_criterion_5_genuine_search(klev4, genuine_witness):
 
     # The optimum beats the reference witness (min s 4.43, criterion 3).
     reference = min(
-        (separability_bound(genuine_witness, p).value - evaluate_G(genuine_witness, klev4))
+        (separability_bound(genuine_witness, p) - evaluate_G(genuine_witness, klev4))
         / measurement_sigma(genuine_witness, klev4)
         for p in bipartitions(4)
     )
@@ -162,7 +161,7 @@ def test_criterion_6_property_suites(klev4, dual_gradient):
         if not is_finer(a, b) or a == b:
             continue
         w = WitnessPair(_psd(gen, n), _psd(gen, n))
-        assert separability_bound(w, a).value >= separability_bound(w, b).value - 1e-7
+        assert separability_bound(w, a) >= separability_bound(w, b) - 1e-7
         done += 1
 
     # The gradient of B is the optimal dual matrix of the one-block lift.

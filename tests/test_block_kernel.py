@@ -45,7 +45,7 @@ def test_stacked_values_match_nuclear_norm_oracle(n):
         FX, FP = _factor(gen, n, rank), _factor(gen, n, n + 1 - rank)
         w = WitnessPair(FX @ FX.T, FP @ FP.T)
         for p in all_partitions(n):
-            got = separability_bound(w, p).value
+            got = separability_bound(w, p)
             assert got == pytest.approx(_oracle(FX, FP, p), rel=1e-8, abs=1e-8), p.text
 
 
@@ -83,7 +83,7 @@ def test_partition_bound_equals_sum_of_block_calls_exactly():
             for idx in p.indices:
                 ix = np.ix_(idx, idx)
                 want += quantum_bound(X[ix], P[ix])
-            assert separability_bound(w, p).value == want, p.text
+            assert separability_bound(w, p) == want, p.text
 
 
 def test_one_by_one_gradient_closed_form(dual_gradient, closed_form_gradient):

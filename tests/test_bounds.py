@@ -6,6 +6,7 @@ import pytest
 
 from cvwitness.bounds import (
     WitnessPair,
+    _block_certificate,
     analytic_biseparable_bound,
     evaluate_G,
     lmi_separability_test,
@@ -59,9 +60,10 @@ def test_trivial_partition_is_quantum_bound():
     for _ in range(10):
         n = int(gen.integers(2, 6))
         w = _witness(gen, n)
-        res = separability_bound(w, Partition.trivial(n))
-        assert res.value == pytest.approx(quantum_bound(w.X, w.P), abs=1e-12)
-        assert np.array_equal(res.certificate_X, w.X)
+        value = separability_bound(w, Partition.trivial(n))
+        assert type(value) is float
+        assert value == pytest.approx(quantum_bound(w.X, w.P), abs=1e-12)
+        assert np.array_equal(_block_certificate(w, Partition.trivial(n))[0], w.X)
 
 
 def test_partition_bound_dominates_quantum_bound():
@@ -71,7 +73,7 @@ def test_partition_bound_dominates_quantum_bound():
         w = _witness(gen, n)
         B = quantum_bound(w.X, w.P)
         for p in all_partitions(n):
-            assert separability_bound(w, p).value >= B - 1e-8
+            assert separability_bound(w, p) >= B - 1e-8
 
 
 def test_refinement_monotonicity():
@@ -85,8 +87,8 @@ def test_refinement_monotonicity():
         if not is_finer(a, b) or a == b:
             continue
         w = _witness(gen, n)
-        va = separability_bound(w, a).value
-        vb = separability_bound(w, b).value
+        va = separability_bound(w, a)
+        vb = separability_bound(w, b)
         assert va >= vb - 1e-7
         done += 1
 
@@ -98,13 +100,14 @@ def test_certificate_reproduces_value_and_preserves_entries():
         parts = all_partitions(n)
         p = parts[int(gen.integers(len(parts)))]
         w = _witness(gen, n)
-        res = separability_bound(w, p)
-        again = quantum_bound(res.certificate_X, res.certificate_P)
-        assert abs(again - res.value) < 1e-8
+        value = separability_bound(w, p)
+        cert_X, cert_P = _block_certificate(w, p)
+        again = quantum_bound(cert_X, cert_P)
+        assert abs(again - value) < 1e-8
         keep = ~free_mask(p)
-        assert np.array_equal(res.certificate_X[keep], w.X[keep])
-        assert np.array_equal(res.certificate_P[keep], w.P[keep])
-        for M in (res.certificate_X, res.certificate_P):
+        assert np.array_equal(cert_X[keep], w.X[keep])
+        assert np.array_equal(cert_P[keep], w.P[keep])
+        for M in (cert_X, cert_P):
             assert float(np.linalg.eigvalsh(M)[0]) >= -1e-9
 
 
@@ -122,9 +125,7 @@ def test_rank_one_closed_form():
             abs(sum(h[i - 1] * g[i - 1] for i in block)) for block in p.blocks
         )
         assert rank_one_bound(h, g, p) == pytest.approx(want, abs=1e-12)
-        full = separability_bound(
-            WitnessPair(np.outer(h, h), np.outer(g, g)), p
-        ).value
+        full = separability_bound(WitnessPair(np.outer(h, h), np.outer(g, g)), p)
         assert full >= rank_one_bound(h, g, p) - 1e-8
         assert full == pytest.approx(want, abs=1e-7)
 
@@ -215,8 +216,8 @@ def test_commuting_block_certificate_for_ppt_witness():
     c, d = np.sqrt(x * y), np.sqrt(p_ * q_)
     X = np.array([[x, 0, -c, 0], [0, x, 0, c], [-c, 0, y, 0], [0, c, 0, y]])
     P = np.array([[p_, 0, 0, d], [0, p_, d, 0], [0, d, q_, 0], [d, 0, 0, q_]])
-    res = separability_bound(WitnessPair(X, P), parse_partition("12|34", 4))
-    assert res.value >= 2 * (np.sqrt(x * p_) + np.sqrt(y * q_)) - 1e-8
+    value = separability_bound(WitnessPair(X, P), parse_partition("12|34", 4))
+    assert value >= 2 * (np.sqrt(x * p_) + np.sqrt(y * q_)) - 1e-8
 
 
 def _random_fill(gen: np.random.Generator, A: np.ndarray, p: Partition) -> np.ndarray:
@@ -246,7 +247,7 @@ def test_random_fill_never_beats_block_sum():
     for n in range(2, 7):
         for p in all_partitions(n):
             w = _witness(gen, n)
-            value = separability_bound(w, p).value
+            value = separability_bound(w, p)
             for _ in range(2):
                 X, P = _random_fill(gen, w.X, p), _random_fill(gen, w.P, p)
                 assert quantum_bound(X, P) <= value + 1e-9
@@ -270,7 +271,7 @@ def test_block_sum_matches_nuclear_norm_oracle():
         p = parts[int(gen.integers(len(parts)))]
         w = _witness(gen, n, 0.1)
         want = _nuclear_block_sum(w.X, w.P, p)
-        assert separability_bound(w, p).value == pytest.approx(want, rel=1e-9)
+        assert separability_bound(w, p) == pytest.approx(want, rel=1e-9)
 
 
 def test_partition_size_mismatch():
@@ -305,7 +306,7 @@ def test_rank_one_pair_takes_the_closed_form(n):
         X, P = w.X + eps * np.eye(n), w.P + eps * np.eye(n)
         oracles = {}
         for p in all_partitions(n):
-            got = separability_bound(w, p).value
+            got = separability_bound(w, p)
             assert got == rank_one_bound(h, g, p), p.text
             eigen = nuclear = scale = room = 0.0
             for block in p.blocks:

@@ -253,6 +253,35 @@ def test_search_boundary_product_states_certify_nothing(capsys, tmp_path, n, del
             assert "nothing certified" in out and "certified across" not in out
 
 
+def test_rank_one_witness_column_prints_no_negative_zero(capsys):
+    # vacuum4's exact rank-one witnesses have entries that round to zero from
+    # below; the witness column prints them as 0.00 on every row.
+    code, out, _ = run(
+        capsys, "search", "--state", "vacuum4", "--all-bipartitions", "--no-error",
+        "--method", "random",
+    )
+    assert code == 0
+    rows = [line for line in out.splitlines() if " h=(" in line]
+    assert len(rows) == 7 and all("0.00" in row for row in rows)
+    assert "-0.00" not in out
+
+
+def test_check_enumerates_each_cut_once(capsys, monkeypatch):
+    # check builds each cut's rank-one witness from the worst sign pattern it
+    # already holds, so ppt4's seven bipartitions take seven enumerations.
+    real, cuts = cvwitness.bounds.lmi_separability_test, []
+
+    def counting(s, p):
+        cuts.append(p.text)
+        return real(s, p)
+
+    for module in (cli, cvwitness.witness):
+        monkeypatch.setattr(module, "lmi_separability_test", counting)
+    code, out, _ = run(capsys, "check", "--state", "ppt4")
+    assert code == 1 and "entanglement certified" in out
+    assert len(cuts) == 7 and len(set(cuts)) == 7
+
+
 def _min_symplectic(gxx, gpp):
     # Independent of the library: nu_min = sqrt of the least eigenvalue of gxx gpp.
     return float(np.sqrt(np.linalg.eigvals(gxx @ gpp).real.min()))

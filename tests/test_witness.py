@@ -256,7 +256,7 @@ def test_genuine_search_from_reference_start(klev4, genuine_witness):
     assert smin >= 10.6 and smin >= reference
     for r in reports:
         assert r.s >= 4.0 - 1e-6
-        rechecked = separability_bound(w, r.partition).value
+        rechecked = separability_bound(w, r.partition)
         assert rechecked == pytest.approx(r.bound, abs=1e-9)
 
 

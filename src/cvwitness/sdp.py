@@ -25,7 +25,11 @@ and refined by one step against the Schur complement itself.
 W, Z, their steps and the corrector are flat vectors: first the 1x1 blocks
 (linear inequalities) as one linear cone z = F0 + A y >= 0, where all is
 elementwise and the Schur complement gains A^T diag(w/z) A; then the other
-blocks, stacked by size and read through fixed (count, d, d) views.
+blocks, stacked by size and read through fixed (count, d, d) views. Only
+products and factorizations go size by size; a fixed transpose map
+symmetrizes every block of a flat vector at once, (A + A[transpose]) / 2.
+A program with no 1x1 block skips the linear cone's terms, and one with no
+shared variable skips their elimination.
 
 Each F_ji is sparse: a block lists terms (i, row, col, coef), each putting
 coef*y_i at (row, col) and (col, row), once on the diagonal. Each variable
@@ -87,14 +91,11 @@ def _mT(A: np.ndarray) -> np.ndarray:
     return A.swapaxes(-1, -2)
 
 
-def _sym(A: np.ndarray) -> np.ndarray:
-    return (A + _mT(A)) / 2.0
-
-
 class Structure:
     """The read-only index arrays, fixed by the blocks' sizes, var, row and col
-    and by group, that map y to Z(y), W to F*(W) and (W, Z^-1) to the Schur
-    complement; index keeps what _Problem checks the blocks against."""
+    and by group, that map y to Z(y), W to F*(W), (W, Z^-1) to the Schur
+    complement and a flat vector to its blockwise transpose; index keeps what
+    _Problem checks the blocks against."""
 
     def __init__(self, blocks: list[Block], group):
         self.group = group = np.array(group)
@@ -164,6 +165,10 @@ class Structure:
         self.K, self.k, self.s = K, k, s
         self.shared, self.local = shared, local
         self.pad = np.eye(k) * (local == m)[:, None, :]  # unit diagonal on padding
+        # A[transpose] transposes every block of a flat A; 1x1 rows stay put.
+        self.transpose = np.arange(self.size)
+        for a, b, gdd in self.spans:
+            self.transpose[a:b] = np.arange(a, b).reshape(gdd).swapaxes(1, 2).ravel()
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 _frozen(a)
@@ -216,33 +221,38 @@ class _Problem:
         H = M[: self.offsets[0]].reshape(K, k, k) + self.pad
         E = M[self.offsets[0] : self.offsets[1]].reshape(K, k, s)
         S = M[self.offsets[1] :].reshape(s, s)
-        dz = np.append(W[:l] * Zi[:l], 0.0)  # the linear cone: A^T diag(w/z) A
-        HE = _mT(self.Ar[..., :k]) @ (dz[self.rows, None] * self.Ar)
-        H += HE[..., :k]
-        E += HE[..., k:]
-        S += self.As.T @ (dz[:l, None] * self.As)
+        if l:  # the linear cone: A^T diag(w/z) A
+            dz = np.append(W[:l] * Zi[:l], 0.0)
+            HE = _mT(self.Ar[..., :k]) @ (dz[self.rows, None] * self.Ar)
+            H += HE[..., :k]
+            E += HE[..., k:]
+            S += self.As.T @ (dz[:l, None] * self.As)
         Li = _inv_chol(H)
-        LiE = Li @ E
-        HiE = _mT(Li) @ LiE
-        # With no shared variable (margin mode) there is nothing to eliminate.
-        Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE)) if s else S
+        if s:  # margin and per-cut score mode have no shared variable to eliminate
+            LiE = Li @ E
+            HiE = _mT(Li) @ LiE
+            Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE))
 
         def once(r: np.ndarray) -> np.ndarray:
             ext = np.append(r, 0.0)
             hr = (_mT(Li) @ (Li @ ext[self.local][..., None]))[..., 0]
-            dS = Lr.T @ (Lr @ (r[self.shared] - np.einsum("gas,ga->s", E, hr)))
             out = np.zeros(self.m + 1)
-            out[self.local] = hr - HiE @ dS
-            out[self.shared] = dS
+            if s:
+                dS = Lr.T @ (Lr @ (r[self.shared] - np.einsum("gas,ga->s", E, hr)))
+                hr = hr - HiE @ dS
+                out[self.shared] = dS
+            out[self.local] = hr
             return out[: self.m]
 
         def solve(r: np.ndarray) -> np.ndarray:
             dy = once(r)
-            ext = np.append(dy, 0.0)
-            dL, dS = ext[self.local], dy[self.shared]
-            Mdy = np.zeros(self.m + 1)
-            Mdy[self.local] = (H @ dL[..., None])[..., 0] + E @ dS
-            Mdy[self.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
+            dL = np.append(dy, 0.0)[self.local]
+            HdL, Mdy = (H @ dL[..., None])[..., 0], np.zeros(self.m + 1)
+            if s:
+                dS = dy[self.shared]
+                HdL += E @ dS
+                Mdy[self.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
+            Mdy[self.local] = HdL
             return dy + once(r - Mdy[: self.m])
 
         return solve
@@ -266,16 +276,17 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
     from other blocks or when y0 is not strictly feasible.
     """
     prob = _Problem(blocks, st)
-    l = prob.l
+    l, t = prob.l, prob.transpose
     y = np.asarray(y0, dtype=float).copy()
-    # Flat iterates: WZ = [W; Z], D = [dW; dZ], Z^-1 and the corrector C.
-    (WZ, D), (Zi, C) = np.zeros((2, 2, prob.size)), np.zeros((2, prob.size))
+    # Flat iterates: WZ = [W; Z], D = [dW; dZ], Z^-1, the corrector C and R,
+    # the product A dZ Z^-1 on every matrix block, for A = W or dW.
+    (WZ, D), (Zi, C, R) = np.zeros((2, 2, prob.size)), np.zeros((3, prob.size))
     (W, Z), (dW, dZ) = WZ, D
-    mats = list(zip(*map(prob.views, (WZ, D, Zi, C))))
+    mats = list(zip(*map(prob.views, (WZ, D, Zi, R))))
 
     def factor() -> list[np.ndarray]:
         """_inv_chol of each size's [W; Z] stack, once w > 0 and z > 0."""
-        if not np.all(WZ[:, :l] > 0):
+        if l and not np.all(WZ[:, :l] > 0):
             raise np.linalg.LinAlgError
         return [_inv_chol(WZj) for WZj, *_ in mats]
 
@@ -283,33 +294,37 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
         """dy = M^-1 r, dZ = F(dy) and dW = sym(C) - W - sym(W dZ Z^-1), into D."""
         dy = newton(r)
         dZ[:] = prob.lin(dy)
-        dW[:l] = C[:l] - W[:l] * (1.0 + dZ[:l] * Zi[:l])
-        for WZj, Dj, Zj, Cj in mats:
-            Dj[0] = _sym(Cj) - WZj[0] - _sym(WZj[0] @ Dj[1] @ Zj)
+        for WZj, Dj, Zj, Rj in mats:
+            np.matmul(WZj[0] @ Dj[1], Zj, out=Rj)
+        dW[:] = (C + C[t]) / 2.0 - W - (R + R[t]) / 2.0
+        if l:
+            dW[:l] = C[:l] - W[:l] * (1.0 + dZ[:l] * Zi[:l])
         return dy
 
     def steps(L: list[np.ndarray]) -> tuple[float, float]:
         """_STEP times the largest a <= 1/_STEP that keeps W + a dW PSD, and the
         same for Z + a dZ, each capped at 1."""
-        low = np.min(D[:, :l] / WZ[:, :l], axis=1, initial=np.inf)
-        for Li, (_, Dj, _, _) in zip(L, mats):
-            low = np.minimum(low, np.linalg.eigvalsh(Li @ Dj @ _mT(Li))[..., 0].min(1))
-        return tuple(1.0 if x >= 0 else min(1.0, -_STEP / x) for x in low)
+        low = [np.linalg.eigvalsh(Li @ Dj @ _mT(Li))[..., 0].min(1)
+               for Li, (_, Dj, *_) in zip(L, mats)]
+        if l:
+            low.append(np.min(D[:, :l] / WZ[:, :l], axis=1))
+        return tuple(1.0 if x >= 0 else min(1.0, -_STEP / x) for x in np.min(low, axis=0))
 
     Z[:] = prob.F0 + prob.lin(y)
-    W[:l] = 1.0 / np.where(Z[:l] > 0, Z[:l], np.inf)  # w = 0 where z <= 0: refused
     try:
         for WZj, *_ in mats:
-            WZj[0] = _sym(np.linalg.inv(WZj[1]))
+            WZj[0] = np.linalg.inv(WZj[1])
+        W[:] = (W + W[t]) / 2.0
+        W[:l] = 1.0 / np.where(Z[:l] > 0, Z[:l], np.inf)  # w = 0 where z <= 0: refused
         L = factor()
     except np.linalg.LinAlgError:
         raise ValueError("the starting point is not strictly feasible") from None
-    best, stall, moved = None, 0, True
+    best, stall, moved, scale = None, 0, True, 1 + np.linalg.norm(b)
     for it in range(_MAX_ITER + 1):
         primal, dual = float(b @ y), float(prob.F0 @ W)
         rp = b + prob.adjoint(W)
         gap = abs(dual - primal) / (1 + abs(primal))
-        err = max(gap, float(np.linalg.norm(rp) / (1 + np.linalg.norm(b))))
+        err = max(gap, float(np.linalg.norm(rp) / scale))
         if best is None or err < best[0]:
             best, stall = (err, y, W.copy(), primal, dual), 0
         else:
@@ -318,7 +333,8 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
         if stop or not moved or it == _MAX_ITER:
             break
         try:
-            Zi[:l] = 1.0 / Z[:l]
+            if l:
+                Zi[:l] = 1.0 / Z[:l]
             for Li, (_, _, Zj, _) in zip(L, mats):
                 np.matmul(_mT(Li[1]), Li[1], out=Zj)
             newton = prob.schur(W, Zi)
@@ -333,9 +349,11 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
             sigma = min(1.0, max(0.0, mu_a / mu)) ** expon
 
             # Corrector: centering plus the second-order term.
-            C[:l] = (sigma * mu - dW[:l] * dZ[:l]) * Zi[:l]
-            for _, Dj, Zj, Cj in mats:
-                Cj[...] = sigma * mu * Zj - Dj[0] @ Dj[1] @ Zj
+            for _, Dj, Zj, Rj in mats:
+                np.matmul(Dj[0] @ Dj[1], Zj, out=Rj)
+            C[:] = sigma * mu * Zi - R
+            if l:
+                C[:l] = (sigma * mu - dW[:l] * dZ[:l]) * Zi[:l]
             dy = direction(newton, b + prob.adjoint(C))
             ap, ad = steps(L)
             y_new = y + ad * dy

@@ -330,19 +330,19 @@ def _fixed_block(*arrays) -> sdp.Block:
 def _werner_wolf_program(n: int, cuts: tuple[Partition, ...]) -> tuple:
     """What _werner_wolf's program takes from n and the cuts alone: gain,
     the start at eps = 1, the blocks with 0 in place of gamma, their
-    sdp.Structure, and per cut (t's index, its gamma_xx block, the variables
-    of (+)a_b, (+)c_b)."""
+    sdp.Structure, and per cut (t's index, its gamma_xx block, and the
+    y-indices of its a_b and of its c_b, one n_b x n_b array per block b)."""
     start, gain, group, blocks, cuts_at = [], [], [], [], []
     for label, q in enumerate(cuts):
         ti = len(start)  # t's index
         r, e = np.nonzero(np.triu(q.labels[:, None] == q.labels))  # within blocks
         ids = np.zeros((2, n, n), dtype=int)  # the variables of (+)a_b, (+)c_b
         ids[:, r, e] = ids[:, e, r] = ti + 1 + np.arange(2 * r.size).reshape(2, -1)
-        _frozen(ids)
         start += [1.0, *np.tile(1.0 * (r == e), 2)]
         gain += [1.0] + [0.0] * (2 * r.size)
         group += [label] * (1 + 2 * r.size)
-        cuts_at.append((ti, len(blocks), ids))
+        at = tuple(tuple(_frozen(m[np.ix_(idx, idx)]) for idx in q.indices) for m in ids)
+        cuts_at.append((ti, len(blocks), at))
         for v in ids:
             blocks.append(_fixed_block(np.zeros((n, n)), v[r, e], r, e, -np.ones(r.size)))
         for idx in q.indices:
@@ -377,10 +377,10 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
         blocks[j + 1] = replace(blocks[j + 1], F0=s.gamma_pp)
     sol = sdp.solve(gain, blocks, (low / 2) * start, st)
     out = []
-    for q, (ti, j, ids) in zip(cuts, cuts_at):
+    for ti, j, at in cuts_at:
         X, P, t = sol.W[j], sol.W[j + 1], float(sol.y[ti])
         G = float(np.sum(s.gamma_xx * X) + np.sum(s.gamma_pp * P))
-        a, c = ([sol.y[m[np.ix_(idx, idx)]] for idx in q.indices] for m in ids)
+        a, c = ([sol.y[i] for i in m] for m in at)
         witness = WitnessPair((1.0 / G) * X, (1.0 / G) * P)
         out.append((witness, abs(1.0 / t - 1.0 / G), sol.converged, (t, a, c)))
     return out

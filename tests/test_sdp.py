@@ -3,16 +3,17 @@
 Oracles: the nuclear norm ||F_A^T F_B||_* of Cholesky factors for the lift of
 one block, max{tr Y : [[A, Y], [Y^T, B]] PSD}, whose dual matrix has the
 fixed off-diagonal block -I/2; a two-variable linear program solved by hand;
-and, for the witness programs, the dual conditions on W evaluated from dense
-F_ji built in the test.
+for the witness programs, the dual conditions on W evaluated from dense F_ji
+built in the test, and the same program solved with every variable shared;
+and numpy's own transpose for the structure's transpose map.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from cvwitness import genuine_search, optimize_witness, sdp
-from cvwitness.partitions import bipartitions
+from cvwitness import genuine_search, optimize_witness, sdp, witness
+from cvwitness.partitions import bipartitions, parse_partition
 
 
 @pytest.mark.parametrize("label", [-1, 0])
@@ -233,3 +234,66 @@ def test_numerical_breakdown_returns_the_best_feasible_iterate(monkeypatch, klev
     for block in blocks:
         Z = block.F0 + np.einsum("i,ijk->jk", sol.y, _dense(block, b.size))
         assert np.linalg.eigvalsh(Z)[0] > 0
+
+
+def _bits(sol: sdp.Solution) -> tuple:
+    return (sol.y.tobytes(), [W.tobytes() for W in sol.W], sol.primal, sol.dual,
+            sol.converged, sol.iterations)
+
+
+def test_shared_variables_change_only_rounding(monkeypatch, ppt4, klev4):
+    # Margin-mode programs have no shared variable, so the solver eliminates
+    # none. Labelling every variable shared forces the elimination on the
+    # same blocks. A one-cut program gives the same bits either way. Over
+    # all seven cuts of ppt4 and of klev4 both take the same steps (9 and
+    # 11), and each cut's t, the variable of gain 1, agrees to 1e-10 (4e-14
+    # measured), as do the objectives relative to their size. The rest of y
+    # is not compared: ppt4's cuts 13|24 and 14|23 have no unique (a_b, c_b).
+    runs, solve = [], sdp.solve
+
+    def spy(b, blocks, y0, st):
+        runs.append((b, blocks, y0, st))
+        return solve(b, blocks, y0, st)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    for cut in ("12|34", "1|234"):
+        optimize_witness(ppt4, [parse_partition(cut, 4)], no_error=True)
+    optimize_witness(ppt4, bipartitions(4), no_error=True)
+    optimize_witness(klev4, bipartitions(4), no_error=True)
+    assert len(runs) == 4
+    for i, (b, blocks, y0, st) in enumerate(runs):
+        forced = sdp.Structure(blocks, np.full(b.size, -1))
+        assert st.s == 0 and forced.s == b.size
+        own, shared = solve(b, blocks, y0, st), solve(b, blocks, y0, forced)
+        if i < 2:
+            assert _bits(own) == _bits(shared)
+            continue
+        assert own.converged and shared.converged
+        assert own.iterations == shared.iterations
+        t = np.flatnonzero(b)
+        assert t.size == 7 and np.abs(own.y[t] - shared.y[t]).max() <= 1e-10
+        assert own.primal == pytest.approx(shared.primal, rel=1e-10)
+        assert own.dual == pytest.approx(shared.dual, rel=1e-10)
+
+
+def test_transpose_map_transposes_every_matrix_block():
+    # The margin program has no 1x1 row and matrix blocks of three sizes,
+    # the genuine program one row per cut and blocks of four sizes. The map
+    # fixes the 1x1 rows, sends (i, j) of every matrix block to (j, i), is
+    # its own inverse, and symmetrizes a flat vector with the bits of
+    # (A + A^T) / 2 per block.
+    cuts = tuple(bipartitions(4))
+    structures = witness._werner_wolf_program(4, cuts)[3], witness._lift_program(4, cuts, True)[2]
+    assert [(st.l, len(st.spans)) for st in structures] == [(0, 3), (7, 4)]
+    gen = np.random.default_rng(26)
+    for st in structures:
+        t, index, x = st.transpose, np.arange(st.size), gen.standard_normal(st.size)
+        assert [a for a, _, _ in st.spans] == [st.l] + [b for _, b, _ in st.spans[:-1]]
+        assert st.spans[-1][1] == st.size
+        assert np.array_equal(t[: st.l], index[: st.l])
+        assert np.array_equal(t[t], index)
+        flat = (x + x[t]) / 2.0
+        for a, b, gdd in st.spans:
+            assert np.array_equal(t[a:b].reshape(gdd), index[a:b].reshape(gdd).swapaxes(1, 2))
+            A = x[a:b].reshape(gdd)
+            assert flat[a:b].tobytes() == ((A + A.swapaxes(-1, -2)) / 2.0).tobytes()

@@ -39,12 +39,15 @@ complement of the matrix blocks is assembled from pairs of terms, and each
 group is eliminated on its own before the shared variables, so the work per
 iteration is linear in the number of groups.
 
-A Structure holds the index tables fixed by the blocks' sizes, var, row and
-col and by the groups; solve takes one with every call, so a program solved
-again with other F0 or coef builds it once.
+A Layout writes these lists for a program declared in order: index arrays
+of its variables, -1 for none, each placed by a term (ids, coef, i, j) with
+ids[0, 0] at (i, j), as its upper triangle if i == j and all at (0, 0) in a
+1x1 block. It builds the Structure, the index tables fixed by the sizes, var,
+row, col and groups; solve takes one per call, so new F0 or coef reuse it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +175,48 @@ class Structure:
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 _frozen(a)
+
+
+class Layout:
+    """A program declared in order by var, sym and lmi, and laid out by done."""
+
+    def __init__(self):
+        self.gain, self.group, self.start, self.F0, self.terms = [], [], [], [], []
+
+    def var(self, shape: tuple, group: int, gain: float = 0.0, start=0.0) -> np.ndarray:
+        """New variables, numbered row-major over shape; start: one value or one each."""
+        ids = len(self.group) + np.arange(math.prod(shape)).reshape(shape)
+        for kept, x in zip((self.gain, self.group, self.start), (gain, group, start)):
+            kept += np.full(ids.size, x).tolist()
+        return ids
+
+    def sym(self, mask: np.ndarray, group: int, start=0.0) -> np.ndarray:
+        """Symmetric ids of new variables along mask's upper triangle, row-major, -1 off it."""
+        ids, (r, c) = np.full(mask.shape, -1), np.nonzero(np.triu(mask))
+        ids[r, c] = ids[c, r] = self.var(r.shape, group, 0.0, np.where(mask, start, 0.0)[r, c])
+        return ids
+
+    def lmi(self, F0, *terms) -> int:
+        """Add the block F0 plus its terms (ids, coef, i, j); return its index."""
+        self.F0.append(np.atleast_2d(F0))
+        self.terms += [(len(self.F0) - 1, len(self.F0[-1]), np.asarray(x), *t) for x, *t in terms]
+        return len(self.F0) - 1
+
+    def done(self) -> tuple:
+        """(gain, start, blocks, Structure), all read-only; % d puts 1x1 blocks at (0, 0)."""
+        blk, d, ids, coef, i, j = zip(*self.terms)
+        n = np.array([a.size for a in ids])
+        blk, d, coef, i, j = (np.repeat(x, n) for x in (blk, d, np.array(coef, float), i, j))
+        at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # the entry within its term
+        r, c = np.divmod(at, np.repeat([a.shape[-1] if a.ndim else 1 for a in ids], n))
+        var = np.concatenate([a.ravel() for a in ids])
+        keep = (var >= 0) & ((i != j) | (r <= c))
+        var, row, col, coef = (_frozen(x[keep]) for x in (var, (i + r) % d, (j + c) % d, coef))
+        ends = np.cumsum(np.bincount(blk[keep], minlength=len(self.F0))).tolist()
+        blocks = tuple(Block(_frozen(F), var[a:b], row[a:b], col[a:b], coef[a:b])
+                       for F, a, b in zip(self.F0, [0] + ends, ends))
+        gain, group, start = map(np.array, (self.gain, self.group, self.start))
+        return _frozen(gain), _frozen(start), blocks, Structure(blocks, group)
 
 
 class _Problem:

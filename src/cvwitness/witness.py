@@ -321,39 +321,23 @@ def _rank_one_report(s: CVState, p: Partition, pattern: Sequence[int]) -> Violat
     return _report(WitnessPair.rank_one(v[: s.n], v[s.n :]), s, p, False)
 
 
-def _fixed_block(*arrays) -> sdp.Block:
-    """An sdp.Block of read-only arrays, for a program that is kept."""
-    return sdp.Block(*(_frozen(np.asarray(a)) for a in arrays))
-
-
 @functools.lru_cache(maxsize=8)
 def _werner_wolf_program(n: int, cuts: tuple[Partition, ...]) -> tuple:
     """What _werner_wolf's program takes from n and the cuts alone: gain,
     the start at eps = 1, the blocks with 0 in place of gamma, their
     sdp.Structure, and per cut (t's index, its gamma_xx block, and the
     y-indices of its a_b and of its c_b, one n_b x n_b array per block b)."""
-    start, gain, group, blocks, cuts_at = [], [], [], [], []
+    lay, cuts_at = sdp.Layout(), []
     for label, q in enumerate(cuts):
-        ti = len(start)  # t's index
-        r, e = np.nonzero(np.triu(q.labels[:, None] == q.labels))  # within blocks
-        ids = np.zeros((2, n, n), dtype=int)  # the variables of (+)a_b, (+)c_b
-        ids[:, r, e] = ids[:, e, r] = ti + 1 + np.arange(2 * r.size).reshape(2, -1)
-        start += [1.0, *np.tile(1.0 * (r == e), 2)]
-        gain += [1.0] + [0.0] * (2 * r.size)
-        group += [label] * (1 + 2 * r.size)
-        at = tuple(tuple(_frozen(m[np.ix_(idx, idx)]) for idx in q.indices) for m in ids)
-        cuts_at.append((ti, len(blocks), at))
-        for v in ids:
-            blocks.append(_fixed_block(np.zeros((n, n)), v[r, e], r, e, -np.ones(r.size)))
-        for idx in q.indices:
-            k, d = idx.size, np.arange(idx.size)
-            i, j = np.triu_indices(k)
-            v = np.concatenate([*ids[:, idx[i], idx[j]], np.full(k, ti)])
-            rows, cols = np.concatenate([i, k + i, d]), np.concatenate([j, k + j, k + d])
-            coef = np.repeat([1.0, 1.0, 0.5], [i.size, i.size, k])
-            blocks.append(_fixed_block(np.zeros((2 * k, 2 * k)), v, rows, cols, coef))
-    st = sdp.Structure(blocks, group)
-    return _frozen(np.array(gain)), _frozen(np.array(start)), tuple(blocks), st, tuple(cuts_at)
+        t = lay.var((), label, 1.0, 1.0)
+        a, c = (lay.sym(q.labels[:, None] == q.labels, label, np.eye(n)) for _ in "ac")
+        at = tuple(tuple(_frozen(m[np.ix_(idx, idx)]) for idx in q.indices) for m in (a, c))
+        cuts_at.append((_frozen(t), lay.lmi(np.zeros((n, n)), (a, -1, 0, 0)), at))
+        lay.lmi(np.zeros((n, n)), (c, -1, 0, 0))
+        for ab, cb in zip(*at):
+            k, tI = len(ab), np.where(np.eye(len(ab)) > 0, t, -1)
+            lay.lmi(np.zeros((2 * k, 2 * k)), (ab, 1, 0, 0), (cb, 1, k, k), (tI, 0.5, 0, k))
+    return lay.done() + (tuple(cuts_at),)
 
 
 def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
@@ -377,8 +361,8 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
         blocks[j + 1] = replace(blocks[j + 1], F0=s.gamma_pp)
     sol = sdp.solve(gain, blocks, (low / 2) * start, st)
     out = []
-    for ti, j, at in cuts_at:
-        X, P, t = sol.W[j], sol.W[j + 1], float(sol.y[ti])
+    for t, j, at in cuts_at:
+        X, P, t = sol.W[j], sol.W[j + 1], float(sol.y[t])
         G = float(np.sum(s.gamma_xx * X) + np.sum(s.gamma_pp * P))
         a, c = ([sol.y[i] for i in m] for m in at)
         witness = WitnessPair((1.0 / G) * X, (1.0 / G) * P)
@@ -388,52 +372,27 @@ def _werner_wolf(s: CVState, cuts: Sequence[Partition]) -> list[tuple]:
 
 @functools.lru_cache(maxsize=8)
 def _lift_program(n: int, cuts: tuple[Partition, ...], shared: bool) -> tuple:
-    """What _lift's program takes from n, the cuts and shared alone: gain,
-    the blocks with 1 in place of sd and of -gam, their sdp.Structure, tri,
-    and per copy (its first variable and block, its ends, and its linear
-    blocks); a copy's sigma block is its third."""
-    iu = np.triu_indices(n)
-    nt = iu[0].size
-    tri = np.zeros((n, n), dtype=int)
-    tri[iu] = tri[iu[::-1]] = np.arange(nt)
-    gain, group, blocks, copies = [], [], [], []
-
-    def var(count, label, b=0.0):
-        first = sum(map(len, gain))
-        gain.append(np.broadcast_to(b, (count,)))
-        group.append(np.broadcast_to(label, (count,)))
-        return np.arange(first, first + count)
-
-    def block(F0, v, row, col, coef):
-        blocks.append(_fixed_block(np.atleast_2d(F0), v, row, col, coef))
-
-    for c, members in enumerate([cuts] if shared else [[q] for q in cuts]):
-        first, lines = (sum(map(len, gain)), len(blocks)), []
-        label = -1 if shared else c
-        XP = var(2 * nt, label)
-        t = var(1, label, 1.0)
-        block(np.zeros((n, n)), XP[:nt], *iu, np.ones(nt))
-        block(np.zeros((n, n)), XP[nt:], *iu, np.ones(nt))
-        block(np.eye(2 * nt + 1), XP, 0 * XP, 1 + np.arange(2 * nt), np.ones(2 * nt))
+    """What _lift's program takes from n, the cuts and shared alone: gain, the
+    start at eps = 1 but for t, the blocks with 1 in place of sd and of -gam,
+    their sdp.Structure, and per copy the y-indices of X and P's upper
+    triangles, of X, P and t, and the indices of its sigma and linear blocks."""
+    lay, iu, copies = sdp.Layout(), np.triu_indices(n), []
+    for label, members in [(-1, cuts)] if shared else enumerate([q] for q in cuts):
+        X, P = (lay.sym(np.ones((n, n)), label, np.eye(n)) for _ in "XP")
+        xp, t = np.concatenate([X[iu], P[iu]]), lay.var((), label, 1.0)
+        lay.lmi(np.zeros((n, n)), (X, 1, 0, 0))
+        lay.lmi(np.zeros((n, n)), (P, 1, 0, 0))
+        arrow, lines = lay.lmi(np.eye(xp.size + 1), (xp[None], 1, 0, 1)), []
         for j, q in enumerate(members):
-            terms = [(XP, np.ones(2 * nt)), (t, -np.ones(1))]
+            terms = [(xp, 1, 0, 0), (t, -1, 0, 0)]
             for idx in q.indices:
-                k = idx.size
-                a, e = np.divmod(np.arange(k * k), k)
-                Y = var(k * k, j if shared else c)
-                up = a <= e
-                sub = tri[idx[a[up]], idx[e[up]]]
-                v = np.concatenate([XP[sub], XP[nt + sub], Y])
-                rows = np.concatenate([a[up], k + a[up], a])
-                cols = np.concatenate([e[up], k + e[up], k + e])
-                block(np.zeros((2 * k, 2 * k)), v, rows, cols, np.ones(v.size))
-                terms.append((Y[a == e], np.ones(k)))
-            v, coef = map(np.concatenate, zip(*terms))
-            lines.append(len(blocks))
-            block(0.0, v, 0 * v, 0 * v, coef)
-        copies.append(first + (sum(map(len, gain)), len(blocks), tuple(lines)))
-    st = sdp.Structure(blocks, np.concatenate(group))
-    return _frozen(np.concatenate(gain)), tuple(blocks), st, _frozen(tri), tuple(copies)
+                k, bb = idx.size, np.ix_(idx, idx)
+                Y = lay.var((k, k), j if shared else label)
+                lay.lmi(np.zeros((2 * k, 2 * k)), (X[bb], 1, 0, 0), (P[bb], 1, k, k), (Y, 1, 0, k))
+                terms.append((np.diagonal(Y), 1, 0, 0))
+            lines.append(lay.lmi(0.0, *terms))
+        copies.append((*map(_frozen, (xp, X, P, t)), arrow, tuple(lines)))
+    return lay.done() + (tuple(copies),)
 
 
 def _lift(
@@ -451,33 +410,29 @@ def _lift(
     ZeroSigma before solving when every sigma entry is 0.
     """
     _require_model(s, score=True)
-    b, blocks, st, tri, copies = _lift_program(s.n, tuple(cuts), shared)
+    b, start, blocks, st, copies = _lift_program(s.n, tuple(cuts), shared)
     iu = np.triu_indices(s.n)
-    nt = iu[0].size
     twice = np.tile(np.where(iu[0] == iu[1], 1.0, 2.0), 2)  # off-diagonals count twice
     gam = twice * np.concatenate([s.gamma_xx[iu], s.gamma_pp[iu]])
     diag = (twice == 1.0) * 1.0
     sd = np.sqrt(twice) * np.concatenate([s.sigma_xx[iu], s.sigma_pp[iu]])
     eps = 0.5 / max(float(np.linalg.norm(sd * diag)), 0.5)  # sigma <= 1/2
-    blocks, y0 = list(blocks), np.zeros(b.size)
-    for v0, k0, _, _, lines in copies:
-        y0[v0 : v0 + 2 * nt] = eps * diag
-        y0[v0 + 2 * nt] = -eps * float(gam @ diag) - 1.0
-        blocks[k0 + 2] = replace(blocks[k0 + 2], coef=sd)
+    blocks, y0 = list(blocks), eps * start
+    for _, _, _, t, arrow, lines in copies:
+        y0[t] = -eps * float(gam @ diag) - 1.0
+        blocks[arrow] = replace(blocks[arrow], coef=sd)
         for j in lines:
-            blocks[j] = replace(blocks[j], coef=np.concatenate([-gam, blocks[j].coef[2 * nt :]]))
+            blocks[j] = replace(blocks[j], coef=np.concatenate([-gam, blocks[j].coef[gam.size :]]))
     sol = sdp.solve(b, blocks, y0, st)
     out = []
-    for v0, k0, v1, k1, _ in copies:
-        dual = sum(float(np.sum(blocks[j].F0 * sol.W[j])) for j in range(k0, k1))
-        xp = sol.y[v0 : v0 + 2 * nt]
-        G = float(gam @ xp)
+    for xp, X, P, t, arrow, _ in copies:
+        G = float(gam @ sol.y[xp])
         if not G > 0:
             raise ValueError("witness has nonpositive G; cannot normalize")
-        # (1/G) * xp rounds unlike xp / G, and saved reports carry its digits
-        X, P = (1.0 / G) * xp[:nt][tri], (1.0 / G) * xp[nt:][tri]
-        gap = abs(dual - float(b[v0:v1] @ sol.y[v0:v1]))
-        out.append((WitnessPair(X, P), gap, sol.converged))
+        # (1/G) * y rounds unlike y / G, and saved reports carry its digits
+        X, P = (1.0 / G) * sol.y[X], (1.0 / G) * sol.y[P]
+        dual = float(np.sum(blocks[arrow].F0 * sol.W[arrow]))  # F0 is 0 off this block
+        out.append((WitnessPair(X, P), abs(dual - float(sol.y[t])), sol.converged))
     return out
 
 

@@ -112,6 +112,17 @@ def test_kept_arrays_are_read_only(states):
         for block in next(p for p in program if isinstance(p, tuple)):
             arrays += list(vars(block).values())
         assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+        # The per-cut or per-copy tuples last: their index arrays, however nested.
+        nested = list(_arrays_in(program[-1]))
+        assert len(nested) >= 4 and not any(a.flags.writeable for a in nested)
+
+
+def _arrays_in(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from _arrays_in(item)
 
 
 def test_threads_share_a_structure(states):

@@ -283,7 +283,7 @@ def test_transpose_map_transposes_every_matrix_block():
     # its own inverse, and symmetrizes a flat vector with the bits of
     # (A + A^T) / 2 per block.
     cuts = tuple(bipartitions(4))
-    structures = witness._werner_wolf_program(4, cuts)[3], witness._lift_program(4, cuts, True)[2]
+    structures = witness._werner_wolf_program(4, cuts)[3], witness._lift_program(4, cuts, True)[3]
     assert [(st.l, len(st.spans)) for st in structures] == [(0, 3), (7, 4)]
     gen = np.random.default_rng(26)
     for st in structures:
@@ -297,3 +297,153 @@ def test_transpose_map_transposes_every_matrix_block():
             assert np.array_equal(t[a:b].reshape(gdd), index[a:b].reshape(gdd).swapaxes(1, 2))
             A = x[a:b].reshape(gdd)
             assert flat[a:b].tobytes() == ((A + A.swapaxes(-1, -2)) / 2.0).tobytes()
+
+
+def _arrays_of(*blocks: sdp.Block) -> list[np.ndarray]:
+    return [getattr(blk, f) for blk in blocks for f in ("F0", "var", "row", "col", "coef")]
+
+
+def test_layout_matches_blocks_written_by_hand():
+    # Variables: t = 0 (gain 1, start 2), Y = 1..6 row-major over (2, 3), and
+    # S = 7..10 along the upper triangle of a mask with a hole in it. Block 0
+    # places S on its diagonal (its upper triangle, skipping -1), Y off it
+    # (every entry) and t on the diagonal of a 2x2 corner with -1 off it;
+    # block 1 is a 1x1 row; block 2 places t I off the diagonal.
+    lay = sdp.Layout()
+    t = lay.var((), 0, 1.0, 2.0)
+    Y = lay.var((2, 3), 0)
+    mask = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+    S = lay.sym(mask, -1, 3.0 * np.eye(3))
+    assert t == 0 and np.array_equal(Y, [[1, 2, 3], [4, 5, 6]])
+    assert np.array_equal(S, [[7, 8, -1], [8, 9, -1], [-1, -1, 10]])
+    F0 = np.arange(25.0).reshape(5, 5)
+    corner = np.array([[t, -1], [-1, t]])
+    assert lay.lmi(F0, (S, 2.0, 0, 0), (Y, -1.0, 0, 2), (corner, 0.5, 3, 3)) == 0
+    assert lay.lmi(1.5, (Y[0], 1.0, 0, 0), (t, -2, 0, 0)) == 1
+    assert lay.lmi(np.eye(3), (np.where(np.eye(2) > 0, t, -1), 0.5, 0, 1)) == 2
+    gain, start, blocks, st = lay.done()
+
+    def block(F0, var, row, col, coef):
+        return sdp.Block(np.asarray(F0), *(np.array(a) for a in (var, row, col)),
+                         np.array(coef, dtype=float))
+
+    want = [
+        block(F0, [7, 8, 9, 10, 1, 2, 3, 4, 5, 6, 0, 0],
+              [0, 0, 1, 2, 0, 0, 0, 1, 1, 1, 3, 4], [0, 1, 1, 2, 2, 3, 4, 2, 3, 4, 3, 4],
+              [2] * 4 + [-1] * 6 + [0.5] * 2),
+        block([[1.5]], [1, 2, 3, 0], [0] * 4, [0] * 4, [1, 1, 1, -2]),
+        block(np.eye(3), [0, 0], [0, 1], [1, 2], [0.5, 0.5]),
+    ]
+    assert len(blocks) == len(want)
+    for got, ref in zip(_arrays_of(*blocks), _arrays_of(*want)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert gain.dtype == start.dtype == float
+    assert np.array_equal(gain, [1] + [0] * 10)
+    assert np.array_equal(start, [2] + [0] * 6 + [3, 0, 3, 3])
+    assert np.array_equal(st.group, [0] * 7 + [-1] * 4)
+    kept = [gain, start] + _arrays_of(*blocks)
+    kept += [a for a in vars(st).values() if isinstance(a, np.ndarray)]
+    assert not any(a.flags.writeable for a in kept)
+
+
+def _lin(block: sdp.Block, y: np.ndarray) -> np.ndarray:
+    # Z(y) = F0 + sum_i y_i F_i of one block, with F_i from _dense.
+    return block.F0 + np.einsum("i,ijk->jk", y, _dense(block, y.size))
+
+
+def _direct_sum(parts, blocks, n: int) -> np.ndarray:
+    # (+)M_b: M_b on the rows and columns of block b, zero across blocks.
+    out = np.zeros((n, n))
+    for M, idx in zip(parts, blocks):
+        out[np.ix_(idx, idx)] = M
+    return out
+
+
+def _spy(monkeypatch) -> list:
+    runs, solve = [], sdp.solve
+
+    def spy(b, blocks, y0, st):
+        runs.append((b, blocks))
+        return solve(b, blocks, y0, st)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    return runs
+
+
+def test_werner_wolf_blocks_are_the_documented_lmis(monkeypatch, ppt4):
+    # gxx - (+)a_b, gpp - (+)c_b and [[a_b, (t/2) I], [(t/2) I, c_b]] per
+    # block b, per cut, at a random y. Each cut declares t and then (+)a_b
+    # and (+)c_b, each numbered along its upper triangle within the blocks;
+    # the y-indices the program keeps for each a_b and c_b read the same.
+    cuts = bipartitions(4) + [parse_partition(c, 4) for c in ("1|2|34", "13|2|4")]
+    runs = _spy(monkeypatch)
+    witness._werner_wolf(ppt4, cuts)
+    ((b, blocks),) = runs
+    *_, cuts_at = witness._werner_wolf_program(4, tuple(cuts))
+    y = np.random.default_rng(27).standard_normal(b.size)
+    v = j = 0
+    for q, (ti, jx, at) in zip(cuts, cuts_at):
+        t = y[v]
+        r, e = np.nonzero(np.triu(q.labels[:, None] == q.labels))
+        full = []
+        for first in (v + 1, v + 1 + r.size):
+            M = np.zeros((4, 4))
+            M[r, e] = M[e, r] = y[first : first + r.size]
+            full.append(M)
+        assert ti == v and jx == j and b[v] == 1.0
+        a, c = ([M[np.ix_(idx, idx)] for idx in q.indices] for M in full)
+        for kept, parts in zip(at, (a, c)):
+            assert all(np.array_equal(y[i], M) for i, M in zip(kept, parts))
+        assert np.allclose(_lin(blocks[j], y), ppt4.gamma_xx - full[0], rtol=0, atol=1e-14)
+        assert np.allclose(_lin(blocks[j + 1], y), ppt4.gamma_pp - full[1], rtol=0, atol=1e-14)
+        for k, (ab, cb) in enumerate(zip(a, c)):
+            tI = (t / 2) * np.eye(len(ab))
+            want = np.block([[ab, tI], [tI, cb]])
+            assert np.allclose(_lin(blocks[j + 2 + k], y), want, rtol=0, atol=1e-14)
+        v, j = v + 1 + 2 * r.size, j + 2 + len(q.indices)
+    assert v == b.size and j == len(blocks)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_lift_blocks_are_the_documented_lmis(monkeypatch, klev4, shared):
+    # Per copy, at a random y: X, P, the sigma arrow [[1, v^T], [v, I]] with
+    # |v|^2 = sigma(X, P)^2, then per cut [[X_bb, Y_b], [Y_b^T, P_bb]] for
+    # each block b and the row sum_b tr Y_b - G - t. Each copy declares X
+    # and P, each along its upper triangle, t, and then each Y_b row-major;
+    # its blocks come in that order too.
+    cuts = bipartitions(4)
+    runs = _spy(monkeypatch)
+    witness._lift(klev4, cuts, shared)
+    ((b, blocks),) = runs
+    y = np.random.default_rng(28).standard_normal(b.size)
+    iu = np.triu_indices(4)
+    v = j = 0
+    for members in [cuts] if shared else [[q] for q in cuts]:
+        X, P = np.zeros((2, 4, 4))
+        for M, first in ((X, v), (P, v + 10)):
+            M[iu] = M[iu[::-1]] = y[first : first + 10]
+        t, v = y[v + 20], v + 21
+        assert np.flatnonzero(b[v - 21 : v]).tolist() == [20] and b[v - 1] == 1.0
+        assert np.allclose(_lin(blocks[j], y), X, rtol=0, atol=1e-14)
+        assert np.allclose(_lin(blocks[j + 1], y), P, rtol=0, atol=1e-14)
+        Z = _lin(blocks[j + 2], y)
+        assert Z[0, 0] == 1.0 and np.array_equal(Z[1:, 1:], np.eye(20))
+        assert np.array_equal(Z[0, 1:], Z[1:, 0])
+        sig2 = np.sum(X**2 * klev4.sigma_xx**2) + np.sum(P**2 * klev4.sigma_pp**2)
+        assert Z[0, 1:] @ Z[0, 1:] == pytest.approx(sig2, rel=1e-12)
+        j += 3
+        for q in members:
+            trace = 0.0
+            for idx in q.indices:
+                k = idx.size
+                Y = y[v : v + k * k].reshape(k, k)
+                bb = np.ix_(idx, idx)
+                want = np.block([[X[bb], Y], [Y.T, P[bb]]])
+                assert np.allclose(_lin(blocks[j], y), want, rtol=0, atol=1e-14)
+                trace, v, j = trace + np.trace(Y), v + k * k, j + 1
+            G = np.sum(klev4.gamma_xx * X) + np.sum(klev4.gamma_pp * P)
+            assert blocks[j].F0.shape == (1, 1)
+            assert _lin(blocks[j], y)[0, 0] == pytest.approx(trace - G - t, rel=1e-12, abs=1e-12)
+            j += 1
+    assert v == b.size and j == len(blocks)

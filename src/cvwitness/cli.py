@@ -8,7 +8,8 @@ reproduce (recompute the bundled reference results and compare).
 
 Exit codes: 0 = ran, nothing certified / all values reproduced; 1 = entanglement
 certified (bound/check/search) or a reproduction mismatch; 2 = usage or input
-error. witness._certified decides what search and check certify.
+error. witness._certified decides what search certifies and which LMI cuts check
+counts; check also counts a partial transpose with nu_min < 1/2 - 1e-9 (PPT, no slack).
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from .states import (
 from .witness import (
     _at_least,
     _certified,
-    _check_seed,
+    _check_draws,
     _rank_one_report,
     genuine_search,
     optimize_witness,
@@ -201,9 +202,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             "state has no error model; pass --no-error to score by raw margin"
         )
     # Each search checks only what it reads; a bad value fails on every path.
-    _at_least("trials", args.trials, 1)
+    _check_draws(args.trials, args.seed)
     _at_least("s_level", s_level, 0)
-    _check_seed(args.seed)
 
     if args.genuine:
         if args.no_error:

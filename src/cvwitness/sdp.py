@@ -98,7 +98,7 @@ class Structure:
     """The read-only index arrays, fixed by the blocks' sizes, var, row and col
     and by group, that map y to Z(y), W to F*(W), (W, Z^-1) to the Schur
     complement and a flat vector to its blockwise transpose; index keeps what
-    _Problem checks the blocks against."""
+    solve checks the blocks against."""
 
     def __init__(self, blocks: list[Block], group):
         self.group = group = np.array(group)
@@ -219,90 +219,6 @@ class Layout:
         return _frozen(gain), _frozen(start), blocks, Structure(blocks, group)
 
 
-class _Problem:
-    """The blocks in one flat vector, the l 1x1 blocks first, then the rest
-    stacked by size. The index arrays are those of st, built from blocks of
-    the same sizes and var, row and col (by identity or by value); F0, the
-    coefficients and the linear cone's rows A are this call's own."""
-
-    def __init__(self, blocks: list[Block], st: Structure):
-        index = [(blk.F0.shape[0], blk.var, blk.row, blk.col) for blk in blocks]
-        if len(index) != len(st.index) or not all(
-            a is b or np.array_equal(a, b) for x, y in zip(index, st.index) for a, b in zip(x, y)
-        ):
-            raise ValueError("the blocks are not those the structure was built from")
-        self.__dict__.update(vars(st))
-        ordered = [blocks[j] for j in self.order]
-        self.F0 = np.concatenate([np.ravel(blk.F0) for blk in ordered]).astype(float)
-        coef = np.concatenate([blk.coef for blk in ordered])  # the 1x1 blocks' first
-        h = coef * self.half
-        self.hc, self.w = np.concatenate([h, h]), h[self.pq[0]] * h[self.pq[1]]
-        A = np.zeros((self.l + 1, self.k + self.s))  # Ar pads with row l = 0
-        np.add.at(A, tuple(self.cone_at), coef[: self.cone_at.shape[1]])
-        self.Ar, self.As = A[self.rows], A[: self.l, self.k :]
-
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The blocks past the linear cone of flat (..., size), one view per size."""
-        return [flat[..., a:b].reshape(flat.shape[:-1] + gdd) for a, b, gdd in self.spans]
-
-    def lin(self, y: np.ndarray) -> np.ndarray:
-        """Flat sum_i y_i F_i over every block."""
-        return np.bincount(self.at, self.hc * y[self.var], self.size)
-
-    def adjoint(self, W: np.ndarray) -> np.ndarray:
-        """F*(W)_i = sum_j tr(F_ji W_j), for a flat W."""
-        return np.bincount(self.var, self.hc * W[self.at], self.m)
-
-    def schur(self, W: np.ndarray, Zi: np.ndarray):
-        """Factor M_pq = sum_j tr(F_jp W_j F_jq Z_j^-1) and return its solver.
-
-        M = [[H, E], [E^T, S]], H block diagonal over the groups, is solved
-        through the Cholesky factors of H and of S - E^T H^-1 E, with one
-        step of iterative refinement against M itself. W and Zi are flat.
-        """
-        vals = self.w * np.einsum("ij,ij->j", W[self.wi], Zi[self.zi])
-        K, k, s, l = self.K, self.k, self.s, self.l
-        M = np.bincount(self.dest, vals, self.offsets[1] + s * s).astype(float, copy=False)
-        H = M[: self.offsets[0]].reshape(K, k, k) + self.pad
-        E = M[self.offsets[0] : self.offsets[1]].reshape(K, k, s)
-        S = M[self.offsets[1] :].reshape(s, s)
-        if l:  # the linear cone: A^T diag(w/z) A
-            dz = np.append(W[:l] * Zi[:l], 0.0)
-            HE = _mT(self.Ar[..., :k]) @ (dz[self.rows, None] * self.Ar)
-            H += HE[..., :k]
-            E += HE[..., k:]
-            S += self.As.T @ (dz[:l, None] * self.As)
-        Li = _inv_chol(H)
-        if s:  # margin and per-cut score mode have no shared variable to eliminate
-            LiE = Li @ E
-            HiE = _mT(Li) @ LiE
-            Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE))
-
-        def once(r: np.ndarray) -> np.ndarray:
-            ext = np.append(r, 0.0)
-            hr = (_mT(Li) @ (Li @ ext[self.local][..., None]))[..., 0]
-            out = np.zeros(self.m + 1)
-            if s:
-                dS = Lr.T @ (Lr @ (r[self.shared] - np.einsum("gas,ga->s", E, hr)))
-                hr = hr - HiE @ dS
-                out[self.shared] = dS
-            out[self.local] = hr
-            return out[: self.m]
-
-        def solve(r: np.ndarray) -> np.ndarray:
-            dy = once(r)
-            dL = np.append(dy, 0.0)[self.local]
-            HdL, Mdy = (H @ dL[..., None])[..., 0], np.zeros(self.m + 1)
-            if s:
-                dS = dy[self.shared]
-                HdL += E @ dS
-                Mdy[self.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
-            Mdy[self.local] = HdL
-            return dy + once(r - Mdy[: self.m])
-
-        return solve
-
-
 def _inv_chol(A: np.ndarray) -> np.ndarray:
     """L^-1 for the Cholesky factor L of each matrix of the stack A, after a
     diagonal shift of 1e-13 of the largest entry if rounding defeats it."""
@@ -320,14 +236,39 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
     st is the Structure of the blocks. Raises ValueError when it was built
     from other blocks or when y0 is not strictly feasible.
     """
-    prob = _Problem(blocks, st)
-    l, t = prob.l, prob.transpose
+    index = [(blk.F0.shape[0], blk.var, blk.row, blk.col) for blk in blocks]
+    if len(index) != len(st.index) or not all(
+        a is b or np.array_equal(a, b) for x, y in zip(index, st.index) for a, b in zip(x, y)
+    ):
+        raise ValueError("the blocks are not those the structure was built from")
+    ordered = [blocks[j] for j in st.order]
+    F0 = np.concatenate([np.ravel(blk.F0) for blk in ordered]).astype(float)
+    coef = np.concatenate([blk.coef for blk in ordered])  # the 1x1 blocks' first
+    h = coef * st.half
+    hc, w = np.concatenate([h, h]), h[st.pq[0]] * h[st.pq[1]]
+    A = np.zeros((st.l + 1, st.k + st.s))  # Ar pads with row l = 0
+    np.add.at(A, tuple(st.cone_at), coef[: st.cone_at.shape[1]])
+    Ar, As = A[st.rows], A[: st.l, st.k :]
+    l, t = st.l, st.transpose
     y = np.asarray(y0, dtype=float).copy()
     # Flat iterates: WZ = [W; Z], D = [dW; dZ], Z^-1, the corrector C and R,
-    # the product A dZ Z^-1 on every matrix block, for A = W or dW.
-    (WZ, D), (Zi, C, R) = np.zeros((2, 2, prob.size)), np.zeros((3, prob.size))
+    # the product V dZ Z^-1 on every matrix block, for V = W or dW.
+    (WZ, D), (Zi, C, R) = np.zeros((2, 2, st.size)), np.zeros((3, st.size))
     (W, Z), (dW, dZ) = WZ, D
-    mats = list(zip(*map(prob.views, (WZ, D, Zi, R))))
+
+    def views(flat: np.ndarray) -> list[np.ndarray]:
+        """The blocks past the linear cone of flat (..., size), one view per size."""
+        return [flat[..., a:b].reshape(flat.shape[:-1] + gdd) for a, b, gdd in st.spans]
+
+    def lin(y: np.ndarray) -> np.ndarray:
+        """Flat sum_i y_i F_i over every block."""
+        return np.bincount(st.at, hc * y[st.var], st.size)
+
+    def adjoint(W: np.ndarray) -> np.ndarray:
+        """F*(W)_i = sum_j tr(F_ji W_j), for a flat W."""
+        return np.bincount(st.var, hc * W[st.at], st.m)
+
+    mats = list(zip(*map(views, (WZ, D, Zi, R))))
 
     def factor() -> list[np.ndarray]:
         """_inv_chol of each size's [W; Z] stack, once w > 0 and z > 0."""
@@ -338,7 +279,7 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
     def direction(newton, r: np.ndarray) -> np.ndarray:
         """dy = M^-1 r, dZ = F(dy) and dW = sym(C) - W - sym(W dZ Z^-1), into D."""
         dy = newton(r)
-        dZ[:] = prob.lin(dy)
+        dZ[:] = lin(dy)
         for WZj, Dj, Zj, Rj in mats:
             np.matmul(WZj[0] @ Dj[1], Zj, out=Rj)
         dW[:] = (C + C[t]) / 2.0 - W - (R + R[t]) / 2.0
@@ -355,7 +296,55 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
             low.append(np.min(D[:, :l] / WZ[:, :l], axis=1))
         return tuple(1.0 if x >= 0 else min(1.0, -_STEP / x) for x in np.min(low, axis=0))
 
-    Z[:] = prob.F0 + prob.lin(y)
+    def schur():
+        """Factor M_pq = sum_j tr(F_jp W_j F_jq Z_j^-1) at W, Zi; return its solver.
+
+        M = [[H, E], [E^T, S]], H block diagonal over the groups, is solved through
+        the Cholesky factors of H and of S - E^T H^-1 E, refined once against M.
+        """
+        vals = w * np.einsum("ij,ij->j", W[st.wi], Zi[st.zi])
+        K, k, s = st.K, st.k, st.s
+        M = np.bincount(st.dest, vals, st.offsets[1] + s * s).astype(float, copy=False)
+        H = M[: st.offsets[0]].reshape(K, k, k) + st.pad
+        E = M[st.offsets[0] : st.offsets[1]].reshape(K, k, s)
+        S = M[st.offsets[1] :].reshape(s, s)
+        if l:  # the linear cone: A^T diag(w/z) A
+            dz = np.append(W[:l] * Zi[:l], 0.0)
+            HE = _mT(Ar[..., :k]) @ (dz[st.rows, None] * Ar)
+            H += HE[..., :k]
+            E += HE[..., k:]
+            S += As.T @ (dz[:l, None] * As)
+        Li = _inv_chol(H)
+        if s:  # margin and per-cut score mode have no shared variable to eliminate
+            LiE = Li @ E
+            HiE = _mT(Li) @ LiE
+            Lr = _inv_chol(S - np.einsum("gas,gat->st", LiE, LiE))
+
+        def once(r: np.ndarray) -> np.ndarray:
+            ext = np.append(r, 0.0)
+            hr = (_mT(Li) @ (Li @ ext[st.local][..., None]))[..., 0]
+            out = np.zeros(st.m + 1)
+            if s:
+                dS = Lr.T @ (Lr @ (r[st.shared] - np.einsum("gas,ga->s", E, hr)))
+                hr = hr - HiE @ dS
+                out[st.shared] = dS
+            out[st.local] = hr
+            return out[: st.m]
+
+        def newton(r: np.ndarray) -> np.ndarray:
+            dy = once(r)
+            dL = np.append(dy, 0.0)[st.local]
+            HdL, Mdy = (H @ dL[..., None])[..., 0], np.zeros(st.m + 1)
+            if s:
+                dS = dy[st.shared]
+                HdL += E @ dS
+                Mdy[st.shared] = S @ dS + np.einsum("gas,ga->s", E, dL)
+            Mdy[st.local] = HdL
+            return dy + once(r - Mdy[: st.m])
+
+        return newton
+
+    Z[:] = F0 + lin(y)
     try:
         for WZj, *_ in mats:
             WZj[0] = np.linalg.inv(WZj[1])
@@ -366,8 +355,8 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
         raise ValueError("the starting point is not strictly feasible") from None
     best, stall, moved, scale = None, 0, True, 1 + np.linalg.norm(b)
     for it in range(_MAX_ITER + 1):
-        primal, dual = float(b @ y), float(prob.F0 @ W)
-        rp = b + prob.adjoint(W)
+        primal, dual = float(b @ y), float(F0 @ W)
+        rp = b + adjoint(W)
         gap = abs(dual - primal) / (1 + abs(primal))
         err = max(gap, float(np.linalg.norm(rp) / scale))
         if best is None or err < best[0]:
@@ -382,14 +371,14 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
                 Zi[:l] = 1.0 / Z[:l]
             for Li, (_, _, Zj, _) in zip(L, mats):
                 np.matmul(_mT(Li[1]), Li[1], out=Zj)
-            newton = prob.schur(W, Zi)
-            mu = float(W @ Z) / prob.N
+            newton = schur()
+            mu = float(W @ Z) / st.N
 
             # Predictor: the affine-scaling direction.
             C[:] = 0.0
             direction(newton, b)
             ap, ad = steps(L)
-            mu_a = float((W + ap * dW) @ (Z + ad * dZ)) / prob.N
+            mu_a = float((W + ap * dW) @ (Z + ad * dZ)) / st.N
             expon = max(1.0, 3.0 * min(ap, ad) ** 2)
             sigma = min(1.0, max(0.0, mu_a / mu)) ** expon
 
@@ -399,16 +388,16 @@ def solve(b: np.ndarray, blocks: list[Block], y0: np.ndarray, st: Structure) -> 
             C[:] = sigma * mu * Zi - R
             if l:
                 C[:l] = (sigma * mu - dW[:l] * dZ[:l]) * Zi[:l]
-            dy = direction(newton, b + prob.adjoint(C))
+            dy = direction(newton, b + adjoint(C))
             ap, ad = steps(L)
             y_new = y + ad * dy
             W += ap * dW
-            Z[:] = prob.F0 + prob.lin(y_new)
+            Z[:] = F0 + lin(y_new)
             L = factor()
         except np.linalg.LinAlgError:
             break  # numerical breakdown: keep the best iterate
         y, moved = y_new, max(ap, ad) > 1e-12
     err, y, W, primal, dual = best
-    back = np.argsort(prob.order)
-    W = list(W[:l].reshape(l, 1, 1)) + [A for Wj in prob.views(W) for A in Wj]
+    back = np.argsort(st.order)
+    W = list(W[:l].reshape(l, 1, 1)) + [A for Wj in views(W) for A in Wj]
     return Solution(y, [W[i] for i in back], primal, dual, err <= _ACCEPT, it)

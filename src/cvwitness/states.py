@@ -8,6 +8,7 @@ formula in this package is stated for the block-diagonal form.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -42,9 +43,12 @@ class CVState:
 
 
 def _as_block(raw, n: int, name: str, nonnegative: bool = False) -> np.ndarray:
-    A = np.asarray(raw, dtype=float)
+    A = np.asarray(raw, dtype=object)  # as given: float() would take "1" and true
     if A.shape != (n, n):
         raise StateFormatError(f"{name} must be {n}x{n}, got shape {A.shape}")
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in A.flat):
+        raise StateFormatError(f"{name} has an entry that is not a number")
+    A = A.astype(float)
     if not np.all(np.isfinite(A)):
         raise StateFormatError(f"{name} contains non-finite entries")
     if np.abs(A - A.T).max() > 1e-8:
@@ -59,10 +63,12 @@ def make_state(
     gamma_pp,
     sigma_xx=None,
     sigma_pp=None,
-    label: str = "",
+    label: str | None = "",
 ) -> CVState:
-    """Validate raw arrays and assemble a CVState."""
-    gxx = np.asarray(gamma_xx, dtype=float)
+    """Validate raw arrays and assemble a CVState; a label of None is no label."""
+    if label is not None and not isinstance(label, str):
+        raise StateFormatError(f"label must be a string, got {label!r}")
+    gxx = np.asarray(gamma_xx, dtype=object)
     if gxx.ndim != 2 or gxx.shape[0] != gxx.shape[1]:
         raise StateFormatError(f"gamma_xx must be square, got shape {gxx.shape}")
     n = gxx.shape[0]
@@ -72,7 +78,7 @@ def make_state(
         gamma_pp=_as_block(gamma_pp, n, "gamma_pp"),
         sigma_xx=None if sigma_xx is None else _as_block(sigma_xx, n, "sigma_xx", True),
         sigma_pp=None if sigma_pp is None else _as_block(sigma_pp, n, "sigma_pp", True),
-        label=str(label),
+        label=label or "",
     )
     if (state.sigma_xx is None) != (state.sigma_pp is None):
         raise StateFormatError("sigma_xx and sigma_pp must be given together")
@@ -118,7 +124,7 @@ def load_state(source) -> CVState:
         doc["gamma_pp"],
         doc.get("sigma_xx"),
         doc.get("sigma_pp"),
-        doc.get("label", ""),
+        doc.get("label"),
     )
     if state.n != n:
         raise StateFormatError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -66,8 +67,12 @@ def _at_least(name: str, value, low) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a seed that cannot key the Philox trial streams."""
+def _check_draws(trials: int, seed: int) -> None:
+    """Refuse trials but an integer >= 1, or a seed (the Philox key) but one in [0, 2^64)."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):  # 1.9 would run as seed 1
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _at_least("trials", trials, 1)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
@@ -228,8 +233,7 @@ def random_rank_one_search(
     G, S and sigma take _TILE trials at a time and scores at most _BATCH,
     so a worker holds about one (65536, 2n) draw.
     """
-    _at_least("trials", trials, 1)
-    _check_seed(seed)
+    _check_draws(trials, seed)
     _require_model(s, score=True)
     parts = _partition_list(p, s.n)
     n = s.n

@@ -28,6 +28,12 @@ def test_random_search_refuses_an_all_zero_error_model(capsys, tmp_path, monkeyp
     klev4, zero = cvwitness.builtin_state("klev4"), np.zeros((4, 4))
     path = tmp_path / "exact.json"
     save_state(make_state(klev4.gamma_xx, klev4.gamma_pp, zero, zero), path)
+    # Entries of 1e-170 pass that check, but every trial's sigma^2 underflows.
+    tiny = tmp_path / "tiny.json"
+    save_state(make_state(klev4.gamma_xx, klev4.gamma_pp, zero + 1e-170, zero + 1e-170), tiny)
+    code, out, err = run(capsys, "search", "--state", str(tiny), "--all-bipartitions")
+    assert code == 2 and out == ""
+    assert "every trial had zero sigma" in err
     monkeypatch.setattr(np.random, "Philox", None)  # any draw would fail
     argv = ["search", "--state", str(path), "--all-bipartitions", "--method", "random"]
     code, out, err = run(capsys, *argv)
@@ -106,6 +112,7 @@ def test_bound_input_errors(capsys, tmp_path):
         ('{"n": 2, "X": [[1, 0], [0, 1]], "P": [[NaN, 0], [0, 1]]}', "witness P"),
         ('{"n": 2, "X": [[1]], "P": [[1, 0], [0, 1]]}', "witness X"),
         ('{"n": 2, "X": [[1, 0], [0, 1]], "P": [[1, 0.1], [0, 1]]}', "witness P"),
+        ('{"n": 2, "X": [[1, true], [true, 1]], "P": [[1, 0], [0, 1]]}', "witness X"),
     ],
 )
 def test_bound_rejects_malformed_witness_document(capsys, tmp_path, text, named):

@@ -21,7 +21,7 @@ from cvwitness.partitions import (
 def test_parse_and_canonical_text():
     p = parse_partition("12|34", 4)
     assert p.blocks == ((1, 2), (3, 4))
-    assert p.text == "12|34"
+    assert p.text == "12|34" and str(p) == p.text
     assert parse_partition("21|43", 4) == p
     assert parse_partition("34|12", 4) == p
 

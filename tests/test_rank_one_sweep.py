@@ -116,6 +116,12 @@ def test_sweep_empty_list_and_bad_input(klev4, monkeypatch):
     exact = make_state(g, g, np.zeros((4, 4)), np.zeros((4, 4)))
     with pytest.raises(ZeroSigma):
         random_rank_one_search(exact, bipartitions(4), trials=100)
+    # Nonzero entries pass the up-front check, but every trial's sigma^2
+    # underflows to 0, so the sweep refuses the state after drawing.
+    tiny = np.full((4, 4), 1e-170)
+    underflow = make_state(klev4.gamma_xx, klev4.gamma_pp, tiny, tiny)
+    with pytest.raises(ZeroSigma, match="every trial had zero sigma"):
+        random_rank_one_search(underflow, bipartitions(4), trials=100)
 
 
 def test_all_zero_error_model_is_refused_before_any_draw(klev4, monkeypatch):
@@ -298,6 +304,10 @@ def test_pool_never_outnumbers_cpus_or_batches(klev4, monkeypatch):
     two = random_rank_one_search(klev4, p, trials=BATCH + 1, threads=8)
     assert started == [2]
     _assert_same(one, random_rank_one_search(klev4, p, trials=BATCH))
+    monkeypatch.delattr(witness.os, "sched_getaffinity", raising=False)
+    for cpus, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(witness.os, "cpu_count", lambda: cpus)
+        assert witness._resolve_threads(None) == want
     assert two.s >= one.s
 
 

@@ -76,6 +76,7 @@ def test_load_state_from_dict_text_and_file(tmp_path):
     for s in (s1, s2, s3):
         assert s.n == 2
         assert np.allclose(s.gamma_xx, doc["gamma_xx"])
+    assert s1.label == load_state({**doc, "label": None}).label == ""
 
 
 def test_load_state_errors():
@@ -93,6 +94,13 @@ def test_load_state_errors():
         load_state("{not valid json")
     with pytest.raises(StateFormatError):
         load_state('{"n": "x"}')
+    # Entries must be JSON numbers: float() would read "1" and true as 1.0.
+    eye = [[1, 0], [0, 1]]
+    for bad in ([["1", 0], [0, 1]], [[True, 0], [0, 1]], [[1, True], [True, 1]]):
+        with pytest.raises(StateFormatError, match="gamma_pp has an entry that is not a number"):
+            load_state({"n": 2, "gamma_xx": eye, "gamma_pp": bad})
+    with pytest.raises(StateFormatError, match="label must be a string"):
+        load_state({"n": 2, "gamma_xx": eye, "gamma_pp": eye, "label": {"a": 1}})
 
 
 @pytest.mark.parametrize("n", [None, True, False, 2.0, [2], "2"])

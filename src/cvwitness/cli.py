@@ -8,8 +8,9 @@ reproduce (recompute the bundled reference results and compare).
 
 Exit codes: 0 = ran, nothing certified / all values reproduced; 1 = entanglement
 certified (bound/check/search) or a reproduction mismatch; 2 = usage or input
-error. witness._certified decides what search certifies and which LMI cuts check
-counts; check also counts a partial transpose with nu_min < 1/2 - 1e-9 (PPT, no slack).
+error, also in a search value the chosen path does not read. witness._certified
+decides what search certifies and which LMI cuts check counts; check also counts
+a partial transpose with nu_min < 1/2 - 1e-9 (PPT, no slack).
 """
 from __future__ import annotations
 
@@ -151,7 +152,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         violated, min_eig, pattern = lmi_separability_test(state, p)
         # A cut whose LMI minimum is not below 0 has no positive rank-one margin.
         counted = physical and min_eig < 0 and _certified(
-            _rank_one_report(state, p, pattern), state, 0.0, nu_min=smallest
+            _rank_one_report(state, p, pattern), state, 0.0
         )
         print(f"partition {p.text}:")
         pts = []
@@ -196,21 +197,20 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.threads is not None:
         _at_least("--threads", args.threads, 1)
     _at_least("--restarts", args.restarts, 0)
-    s_level = 0.0 if args.no_error else args.s_level
     if not args.no_error and not state.has_error_model:
         raise ValueError(
             "state has no error model; pass --no-error to score by raw margin"
         )
     # Each search checks only what it reads; a bad value fails on every path.
     _check_draws(args.trials, args.seed)
-    _at_least("s_level", s_level, 0)
+    _at_least("s_level", args.s_level, 0)
 
     if args.genuine:
         if args.no_error:
             raise ValueError("the genuine search needs an error model")
-        found, _, reports = genuine_search(state, s_level=s_level)
+        found, _, reports = genuine_search(state, s_level=args.s_level)
         verdict = (
-            f"genuine multipartite entanglement at level s >= {s_level}: "
+            f"genuine multipartite entanglement at level s >= {args.s_level}: "
             f"{'FOUND' if found else 'not found'}"
         )
     else:
@@ -221,13 +221,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         # Raw margins take the covariances as exact, so unphysical data certify
         # nothing. Error-aware searches are not gated yet: the builtin klev4, a
         # measured state with an error model, is itself below the vacuum bound.
-        nu_min = None
-        if args.no_error:
-            physical, nu_min = is_physical(state)
-            if not physical:
-                print(_UNPHYSICAL)
-                _write_json(args.json, lambda: reports_to_json([]))
-                return 0
+        if args.no_error and not is_physical(state)[0]:
+            print(_UNPHYSICAL)
+            _write_json(args.json, lambda: reports_to_json([]))
+            return 0
         # Rank-one witnesses, even the best, miss the matrix witnesses some states
         # need, so margin mode defaults to the convex search.
         method = args.method or ("optimize" if args.no_error else "random")
@@ -239,7 +236,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             reports = random_rank_one_search(
                 state, parts, trials=args.trials, seed=args.seed, threads=args.threads
             )
-        hits = [r for r in reports if _certified(r, state, s_level, nu_min=nu_min)]
+        hits = [r for r in reports if _certified(r, state, args.s_level)]
         found = bool(hits)
         verdict = "nothing certified at the requested level"
         if found:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -41,6 +42,15 @@ class CVState:
     def has_error_model(self) -> bool:
         return self.sigma_xx is not None and self.sigma_pp is not None
 
+    @cached_property
+    def _physicality(self) -> tuple[bool, float]:
+        """Computed once, from blocks that are read-only: see is_physical."""
+        try:
+            smallest = float(np.sqrt(_spectrum(self.gamma_xx, self.gamma_pp)[0]))
+        except NotPSD:
+            return False, 0.0
+        return smallest >= 0.5 - PHYSICALITY_TOL, smallest
+
 
 def _as_block(raw, n: int, name: str, nonnegative: bool = False) -> np.ndarray:
     A = np.asarray(raw, dtype=object)  # as given: float() would take "1" and true
@@ -48,7 +58,10 @@ def _as_block(raw, n: int, name: str, nonnegative: bool = False) -> np.ndarray:
         raise StateFormatError(f"{name} must be {n}x{n}, got shape {A.shape}")
     if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in A.flat):
         raise StateFormatError(f"{name} has an entry that is not a number")
-    A = A.astype(float)
+    try:
+        A = A.astype(float)
+    except OverflowError:  # an integer beyond float range, such as 10**400
+        raise StateFormatError(f"{name} contains non-finite entries") from None
     if not np.all(np.isfinite(A)):
         raise StateFormatError(f"{name} contains non-finite entries")
     if np.abs(A - A.T).max() > 1e-8:
@@ -160,13 +173,9 @@ def is_physical(state: CVState) -> tuple[bool, float]:
     Returns (verdict, minimum symplectic eigenvalue) so marginal states can be
     reported with their margin instead of failing hard. A block that is not
     PSD gives (False, 0.0): 0 is the limit of the minimum as a block loses
-    definiteness.
+    definiteness. Each state works this out once.
     """
-    try:
-        smallest = float(np.sqrt(_spectrum(state.gamma_xx, state.gamma_pp)[0]))
-    except NotPSD:
-        return False, 0.0
-    return smallest >= 0.5 - PHYSICALITY_TOL, smallest
+    return state._physicality
 
 
 def partial_transpose(state: CVState, modes: Iterable[int]) -> CVState:

@@ -148,24 +148,20 @@ def rounding_bound(w: WitnessPair, s: CVState) -> float:
     return float(64 * w.n * np.finfo(float).eps * scale)
 
 
-def _certified(
-    r: ViolationReport, state: CVState, s_level: float, *, nu_min: float | None = None
-) -> bool:
+def _certified(r: ViolationReport, state: CVState, s_level: float) -> bool:
     """Whether a search report certifies. One block certifies nothing: B(X, P)
     bounds every physical state. A score must reach s_level, and its margin
     B_I - G beat its rounding bound, so at s_level = 0 a tie certifies
     nothing. A raw margin must beat the solver's duality gap (none off the
-    solver), its own rounding bound, and (1/2 - nu_min)(tr X + tr P):
-    nu_min is superadditive, so gamma + (1/2 - nu_min) I is physical, and a
-    separable state that close moves G by at most that. nu_min defaults to
-    is_physical(state)[1]."""
+    solver), its own rounding bound, and (1/2 - nu_min)(tr X + tr P), with
+    nu_min = is_physical(state)[1], which the state works out once: nu_min
+    is superadditive, so gamma + (1/2 - nu_min) I is physical, and a
+    separable state that close moves G by at most that."""
     if r.partition.k < 2:
         return False
     rounding = rounding_bound(r.witness, state)
     if r.s is None:
-        if nu_min is None:
-            nu_min = is_physical(state)[1]
-        room = max(0.0, 0.5 - nu_min)
+        room = max(0.0, 0.5 - is_physical(state)[1])
         room *= float(np.trace(r.witness.X) + np.trace(r.witness.P))
         return r.bound - r.G > (r.gap or 0.0) + rounding + room
     return r.s >= s_level and r.bound - r.G > rounding
@@ -176,6 +172,8 @@ def _resolve_threads(threads: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
+    if not isinstance(threads, numbers.Integral):  # a pool of 1.5 workers starts 2
+        raise ValueError(f"threads must be an integer, got {threads!r}")
     _at_least("threads", threads, 1)
     return threads
 

@@ -1,6 +1,8 @@
 """Separability bounds, certificates, LMI test, symmetric-witness table."""
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from cvwitness.bounds import (
     symmetric_witness,
     table1_bounds,
 )
-from cvwitness.linalg import NotPSD, quantum_bound
+from cvwitness.linalg import PSD_TOL, NotPSD, quantum_bound
 from cvwitness.partitions import (
     Partition,
     all_partitions,
@@ -24,6 +26,7 @@ from cvwitness.partitions import (
     parse_partition,
 )
 from cvwitness.states import make_state
+from test_rank_one_sweep import _network_state
 
 
 def _psd(gen: np.random.Generator, n: int, floor: float = 0.0) -> np.ndarray:
@@ -160,6 +163,58 @@ def test_lmi_never_fires_on_separable_state(vacuum4):
         violated, low, _ = lmi_separability_test(vacuum4, p)
         assert not violated
         assert low >= -1e-12
+
+
+def _lmi_loop(s, p):
+    # The sign-pattern test one matrix at a time, (1,) + tail in product
+    # order; a later pattern replaces the worst only when strictly lower.
+    lowest, worst = np.inf, None
+    for tail in product((1, -1), repeat=p.k - 1):
+        eps = np.array((1,) + tail)[p.labels]
+        E = np.diag(eps / 2.0)
+        low = float(np.linalg.eigvalsh(np.block([[s.gamma_xx, E], [E, s.gamma_pp]]))[0])
+        if low < lowest:
+            lowest, worst = low, tuple(eps.tolist())
+    return lowest < -PSD_TOL, lowest, worst
+
+
+def _lmi_corpus(ppt4, klev4, vacuum4):
+    # Seeded network states with k = 1..min(n, 6) blocks of shuffled modes,
+    # and every partition of the three builtin states.
+    gen = np.random.default_rng(29)
+    cases = [(s, p) for s in (ppt4, klev4, vacuum4) for p in all_partitions(4)]
+    for n in range(2, 8):
+        for k in range(1, min(n, 6) + 1):
+            for seed in range(3):
+                cuts = np.sort(gen.choice(np.arange(1, n), k - 1, replace=False))
+                blocks = np.split(gen.permutation(n) + 1, cuts)
+                cases.append((_network_state(n, 100 * n + 10 * k + seed), Partition.of(blocks, n)))
+    return cases
+
+
+def test_lmi_matches_a_per_pattern_loop(ppt4, klev4, vacuum4):
+    cases = _lmi_corpus(ppt4, klev4, vacuum4)
+    assert {p.k for _, p in cases} == set(range(1, 7))
+    violated = set()
+    for s, p in cases:
+        got = lmi_separability_test(s, p)
+        assert type(got[0]) is bool and type(got[1]) is float, p.text
+        assert got == _lmi_loop(s, p), (s.label, p.text)
+        violated.add(got[0])
+    assert violated == {True, False}
+
+
+def test_lmi_keeps_the_first_of_tied_minima(monkeypatch, klev4):
+    # Every pattern but the all-plus one gets the same least eigenvalue, so
+    # the worst is the second pattern in product order: the last block flipped.
+    def tied(M):
+        off = np.diagonal(M[..., :4, 4:], axis1=-2, axis2=-1)
+        return np.broadcast_to(-1.0 * (off < 0).any(-1)[..., None], M.shape[:-1])
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", tied)
+    for text, want in (("1|234", (1, -1, -1, -1)), ("12|3|4", (1, 1, 1, -1))):
+        p = parse_partition(text, 4)
+        assert lmi_separability_test(klev4, p) == (True, -1.0, want) == _lmi_loop(klev4, p)
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -123,6 +123,19 @@ def test_bound_rejects_malformed_witness_document(capsys, tmp_path, text, named)
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, named", [(["check", "--state"], "gamma_xx"), (["bound", "--witness"], "witness X")]
+)
+def test_integer_beyond_float_range_is_an_input_error(capsys, tmp_path, argv, named):
+    # JSON reads a 400-digit integer exactly; as a float it would overflow.
+    path = tmp_path / "big.json"
+    big = [[10**400]]
+    path.write_text(json.dumps({"n": 1, "gamma_xx": big, "gamma_pp": [[1]], "X": big, "P": [[1]]}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"{named} contains non-finite entries" in err
+
+
 @pytest.mark.parametrize("n", [[2], None, True, 2.0, "2"])
 def test_check_rejects_non_integer_n(capsys, tmp_path, n):
     path = tmp_path / "s.json"
@@ -620,6 +633,9 @@ def test_check_one_mode_state(capsys, tmp_path, g, verdict):
         ["--partition", "1|234", "--trials", "1000", "--restarts", "-1"],
         ["--partition", "1|234", "--method", "optimize", "--restarts", "-1"],
         ["--all-bipartitions", "--no-error", "--restarts", "-1"],
+        # Margin mode does not read the level, but it is still checked.
+        ["--all-bipartitions", "--no-error", "--s-level", "-1"],
+        ["--partition", "1|234", "--no-error", "--s-level", "nan"],
     ],
 )
 def test_search_rejects_negative_budget_or_level(capsys, argv):

@@ -57,6 +57,26 @@ def test_ppt4_optimal_margins(ppt4):
             assert _certified(r, ppt4, 0.0)
 
 
+def test_physicality_is_worked_out_once_per_state(monkeypatch, capsys):
+    # _certified reads the state's physicality: over ppt4's fourteen margin
+    # reports that is one spectrum. check computes one for ppt4 and one for
+    # each of its seven partial transposes.
+    from cvwitness import builtin_state, states
+
+    ppt4 = builtin_state("ppt4")
+    cuts = bipartitions(4)
+    reports = optimize_witness(ppt4, cuts, no_error=True) + rank_one_optimum(ppt4, cuts)
+    spectra, spectrum = [], states._spectrum
+    monkeypatch.setattr(states, "_spectrum", lambda *a: spectra.append(a) or spectrum(*a))
+    fresh = builtin_state("ppt4")
+    assert sum(_certified(r, fresh, 0.0) for r in reports) == 9 and len(reports) == 14
+    assert len(spectra) == 1
+    spectra.clear()
+    assert main(["check", "--state", "ppt4"]) == 1
+    assert len(spectra) == 8
+    capsys.readouterr()
+
+
 def test_certification_threshold(ppt4):
     r = optimize_witness(ppt4, parse_partition("12|34", 4), no_error=True)
     bound = rounding_bound(r.witness, ppt4)

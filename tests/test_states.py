@@ -101,6 +101,11 @@ def test_load_state_errors():
             load_state({"n": 2, "gamma_xx": eye, "gamma_pp": bad})
     with pytest.raises(StateFormatError, match="label must be a string"):
         load_state({"n": 2, "gamma_xx": eye, "gamma_pp": eye, "label": {"a": 1}})
+    # An integer beyond float range, read exactly from JSON, is not finite.
+    big = {"n": 1, "gamma_xx": [[1]], "gamma_pp": [[10**400]]}
+    for source in (big, json.dumps(big)):
+        with pytest.raises(StateFormatError, match="gamma_pp contains non-finite entries"):
+            load_state(source)
 
 
 @pytest.mark.parametrize("n", [None, True, False, 2.0, [2], "2"])

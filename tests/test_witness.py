@@ -188,7 +188,8 @@ def test_search_config_validation(klev4, ppt4, monkeypatch):
     assert optimize_witness(ppt4, p, no_error=True).s is None
     monkeypatch.setattr(np.random, "Philox", None)  # any draw would fail
     for bad in (
-        dict(trials=0), dict(trials=70000.0), dict(seed=-1), dict(seed=2**64), dict(seed=1.9)
+        dict(trials=0), dict(trials=70000.0), dict(seed=-1), dict(seed=2**64), dict(seed=1.9),
+        dict(threads=1.5),
     ):
         (name,) = bad
         with pytest.raises(ValueError, match=name):

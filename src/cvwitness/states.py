@@ -146,25 +146,14 @@ def load_state(source) -> CVState:
     return state
 
 
-def _fmt_matrix(A: np.ndarray, indent: str) -> str:
-    rows = [
-        "[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in A
-    ]
-    return "[\n" + ",\n".join(indent + "  " + r for r in rows) + "\n" + indent + "]"
-
-
 def save_state(state: CVState, path) -> None:
-    """Write a state as JSON with 17 significant digits (lossless for float64)."""
-    parts = [f'  "n": {state.n}']
-    if state.label:
-        parts.append(f'  "label": {json.dumps(state.label)}')
-    parts.append(f'  "gamma_xx": {_fmt_matrix(state.gamma_xx, "  ")}')
-    parts.append(f'  "gamma_pp": {_fmt_matrix(state.gamma_pp, "  ")}')
-    if state.sigma_xx is not None:
-        parts.append(f'  "sigma_xx": {_fmt_matrix(state.sigma_xx, "  ")}')
-    if state.sigma_pp is not None:
-        parts.append(f'  "sigma_pp": {_fmt_matrix(state.sigma_pp, "  ")}')
-    Path(path).write_text("{\n" + ",\n".join(parts) + "\n}\n")
+    """Write a state as one line of JSON; every float keeps its shortest exact
+    form, signed zeros included, so a round trip is exact."""
+    doc = {"n": state.n, **({"label": state.label} if state.label else {})}
+    for key in ("gamma_xx", "gamma_pp", "sigma_xx", "sigma_pp"):
+        if (block := getattr(state, key)) is not None:
+            doc[key] = block.tolist()
+    Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def is_physical(state: CVState) -> tuple[bool, float]:

@@ -14,6 +14,7 @@ import pytest
 import cvwitness
 from cvwitness import cli
 from cvwitness.cli import main
+from cvwitness.partitions import all_partitions
 from cvwitness.states import make_state, save_state
 
 
@@ -81,6 +82,15 @@ def test_bound_table1_needs_the_symmetric_witness(capsys, tmp_path, extra):
     code, out, err = run(capsys, "bound", "--witness", str(path), "--table1", *extra)
     assert (code, out) == (2, "")
     assert "--table1 applies to --symmetric-witness only" in err
+
+
+def test_bound_table1_still_reads_the_partition(capsys):
+    # --table1 ignores the partition, but a bad one is still a usage error.
+    code, out, err = run(
+        capsys, "bound", "--symmetric-witness", "4", "--table1", "--partition", "zz"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'z'" in err
 
 
 def test_bound_full_partition(capsys):
@@ -312,7 +322,7 @@ def _min_symplectic(gxx, gpp):
 )
 def test_check_partial_transposes_per_partition(capsys, tmp_path, ppt4, text, labels, want):
     # One record per block (none for one block), printed and in --json alike;
-    # single-mode flips of ppt4 are unphysical, which certifies.
+    # single-mode flips of ppt4 are unphysical, and its LMI on 1|2|34 certifies.
     dest = tmp_path / "check.json"
     code, out, _ = run(
         capsys, "check", "--state", "ppt4", "--partition", text, "--json", str(dest)
@@ -330,6 +340,100 @@ def test_check_partial_transposes_per_partition(capsys, tmp_path, ppt4, text, la
         want = _min_symplectic(ppt4.gamma_xx, S @ ppt4.gamma_pp @ S)
         assert t["min_symplectic"] == pytest.approx(want, abs=1e-9)
         assert t["physical"] is (want >= 0.5 - 1e-9)
+
+
+def _network_states(seed, count):
+    # Squeezed vacua through random orthogonal networks, mixed with vacuum:
+    # physical, and entangled across a cut or not depending on the weight.
+    rng = np.random.default_rng(seed)
+    for n in range(2, 6):
+        for _ in range(count):
+            r = rng.uniform(0.0, 1.2, n)
+            O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            w = rng.uniform(0.0, 0.4)
+            vac = 0.5 * (1 - w) * np.eye(n)
+            yield make_state(
+                w * O @ np.diag(np.exp(2 * r) / 2) @ O.T + vac,
+                w * O @ np.diag(np.exp(-2 * r) / 2) @ O.T + vac,
+            )
+
+
+def test_partial_transpose_is_a_sign_pattern(capsys, tmp_path):
+    # The PT on block b is physical exactly when M_E = [[gxx, E/2], [E/2, gpp]]
+    # is PSD for E = -1 on b, one of the LMI's sign patterns. So the LMI
+    # minimum lies at or below that M_E's, and a cut with an unphysical PT
+    # certifies through its LMI witness alone.
+    path, dest = tmp_path / "s.json", tmp_path / "check.json"
+    decided = {True: 0, False: 0}
+    for state in _network_states(11, 3):
+        n = state.n
+        save_state(state, path)
+        for p in all_partitions(n):
+            if p.k < 2:
+                continue
+            code, _, _ = run(
+                capsys, "check", "--state", str(path), "--partition", p.text,
+                "--json", str(dest),
+            )
+            (row,) = json.loads(dest.read_text())["partitions"]
+            records = {t["modes"]: t["physical"] for t in row["partial_transposes"]}
+            unphysical = False
+            for block in p.blocks:
+                E = np.diag([-1.0 if m + 1 in block else 1.0 for m in range(n)])
+                nu = _min_symplectic(state.gamma_xx, E @ state.gamma_pp @ E)
+                M = np.block([[state.gamma_xx, E / 2], [E / 2, state.gamma_pp]])
+                low = np.linalg.eigvalsh(M)[0]
+                if abs(nu - 0.5) < 1e-6 or abs(low) < 1e-6:
+                    continue
+                physical = bool(nu > 0.5)
+                assert physical is bool(low > 0), (p.text, block)
+                assert row["lmi_min_eigenvalue"] <= low + 1e-12
+                name = "PT " + "".join(str(m) for m in block)
+                assert records.get(name, physical) is physical
+                unphysical |= not physical
+                decided[physical] += 1
+            if unphysical:
+                assert code == 1, p.text
+    assert min(decided.values()) > 20, decided
+
+
+def _edge_state(A, nu):
+    # Separable: gpp's partial transpose is gxx, so gxx gpp^T has the
+    # eigenvalues (A + C)^2 and (A - C)^2. The PT's nu_min is A - C, which is
+    # nu up to the rounding of C (at most 1e-9 here), so it stays >= 1/2.
+    C = A - nu
+    return make_state([[A, C], [C, A]], [[A, -C], [-C, A]])
+
+
+@pytest.mark.parametrize(
+    "A, nu",
+    [(1e6, 0.5), (1e6, 0.50000001), (1e6, 0.5000001), (1e6, 0.500001), (1e7, 0.50000001)],
+)
+def test_separable_edge_states_certify_nothing(capsys, tmp_path, A, nu):
+    # The PT's spectrum rounds below 1/2 at these entries; a PT line is a raw
+    # diagnostic, and neither check nor a margin search certifies.
+    path = tmp_path / "edge.json"
+    save_state(_edge_state(A, nu), path)
+    code, out, _ = run(capsys, "check", "--state", str(path))
+    assert code == 0
+    assert "nothing detected" in out and "entanglement certified" not in out
+    for method in ("optimize", "random"):
+        code, out, _ = run(
+            capsys, "search", "--state", str(path), "--all-bipartitions", "--no-error",
+            "--method", method,
+        )
+        assert code == 0, method
+        assert "nothing certified" in out
+
+
+def test_check_validates_every_cut_before_printing(capsys, tmp_path):
+    g = 0.5 * np.eye(13)
+    path = tmp_path / "s13.json"
+    save_state(make_state(g, g), path)
+    every_mode = "|".join(str(m) for m in range(1, 14))
+    code, out, err = run(capsys, "check", "--state", str(path), "--partition", every_mode)
+    assert (code, out) == (2, "")
+    assert "the LMI test needs at most 12 blocks, got 13" in err
 
 
 @pytest.mark.parametrize("name, want", [("ppt4", 1), ("klev4", 0), ("vacuum4", 0)])

@@ -128,6 +128,24 @@ def test_save_load_round_trip(tmp_path, klev4):
     assert np.array_equal(back.sigma_pp, klev4.sigma_pp)
 
 
+def test_save_load_keeps_signed_zeros(tmp_path, ppt4):
+    # Flipping mode 1 turns the four zeros in gamma_pp's first row and column
+    # into -0.0. The file must say -0.0: JSON's -0 would read back as +0.0.
+    flipped = partial_transpose(ppt4, [1])
+    path = tmp_path / "flipped.json"
+    save_state(flipped, path)
+    back = load_state(path)
+    assert (np.signbit(flipped.gamma_pp) & (flipped.gamma_pp == 0)).sum() == 4
+    for name in ("gamma_xx", "gamma_pp"):
+        want, got = getattr(flipped, name), getattr(back, name)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        assert np.array_equal(got, want)
+    # One line of JSON, as --json writes.
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text)["n"] == 4
+
+
 def test_is_physical_vacuum_and_thermal():
     ok, low = is_physical(make_state(0.5 * np.eye(3), 0.5 * np.eye(3)))
     assert ok and low == pytest.approx(0.5)

@@ -171,9 +171,11 @@ def analytic_biseparable_bound(n: int) -> float:
 
 
 def symmetric_witness(n: int) -> WitnessPair:
-    """Permutation-symmetric witness: X = (n-2)I + ones, P = nI - ones."""
-    if n < 2:
-        raise ValueError(f"symmetric witness needs n >= 2, got {n}")
+    """Permutation-symmetric witness: X = (n-2)I + ones, P = nI - ones, for
+    2 <= n <= 32, the small matrices the package is built for (see linalg);
+    any other n raises ValueError before a matrix is made."""
+    if not 2 <= n <= 32:
+        raise ValueError(f"symmetric witness needs 2 <= n <= 32, got {n}")
     J = np.ones((n, n))
     return WitnessPair((n - 2) * np.eye(n) + J, n * np.eye(n) - J)
 

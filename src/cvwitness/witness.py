@@ -16,6 +16,7 @@ import functools
 import json
 import numbers
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -183,19 +184,21 @@ def _batch_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _quad(V: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Column-wise quadratic forms v_t^T A v_t of V laid out (n, t).
+def _quad(V: np.ndarray, A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column-wise quadratic forms v_t^T A v_t of V laid out (n, t); out, if
+    given, is an (n, t) scratch array for A V.
 
     Two two-operand einsums whose inner loops run along the t trials of
     contiguous rows; unlike a matmul, they start no BLAS threads, which
     would pile onto the search's own thread pool.
     """
-    return np.einsum("it,it->t", np.einsum("ij,jt->it", A, V), V)
+    return np.einsum("it,it->t", np.einsum("ij,jt->it", A, V, out=out), V)
 
 
-def _trial_bound(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Per row, sum_i |h_i g_i| (1 + 1e-12): see random_rank_one_search."""
-    return np.abs(H * G).sum(axis=1) * (1 + 1e-12)
+def _trial_bound(H: np.ndarray, G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per row, sum_i |h_i g_i| (1 + 1e-12): see random_rank_one_search. out,
+    if given, is a scratch array laid out as H * G would be."""
+    return np.abs(np.multiply(H, G, out=out), out=out).sum(axis=1) * (1 + 1e-12)
 
 
 def random_rank_one_search(
@@ -228,8 +231,18 @@ def random_rank_one_search(
     partition is scored on the trials whose u_t = (S_t - G_t)/sigma_t, an
     upper bound on each of their scores, reaches theta: the smallest over
     those partitions of the best score on the _PROBE trials of largest u.
-    G, S and sigma take _TILE trials at a time and scores at most _BATCH,
-    so a worker holds about one (65536, 2n) draw.
+
+    Memory. A batch is drawn _TILE trials at a time; the Philox stream
+    continues across tiles, so the draws are those of one call. It is
+    settled once every partition has a positive-margin trial that surely
+    scores above 0 (settle, which checks a tile's first few such trials).
+    Until then the whole batch (draws, G and margin) is kept for the
+    fallback above; from then on only the positive-margin trials are kept,
+    and later tiles are drawn into the worker's reused row of 5n x _TILE
+    doubles. So a batch settled in its first tile holds that row and its
+    positive-margin trials, one that never settles about one
+    (65536, 2n) draw more. Each batch's winners are merged into one running
+    best per partition as the batch finishes.
     """
     _check_draws(trials, seed)
     _require_model(s, score=True)
@@ -241,65 +254,140 @@ def random_rank_one_search(
         return []
     gxx, gpp = s.gamma_xx, s.gamma_pp
     sxx2, spp2 = s.sigma_xx**2, s.sigma_pp**2
+    sigma_sq = np.block([[sxx2, np.zeros((n, n))], [np.zeros((n, n)), spp2]])
+    onehot = np.zeros((n, max(q.k for q in parts), len(parts)))  # mode, block, partition
+    for j, q in enumerate(parts):
+        onehot[np.arange(n), q.labels, j] = 1.0
+    few = max(1, _BATCH // onehot[0].size)  # settle's trials per tile: _BATCH block sums
 
-    def run_batch(b: int) -> list[tuple[float, int, np.ndarray, np.ndarray]]:
+    def sigma(R):  # sigma^2 of the rows of R, _TILE rows at a time
+        var = np.empty(len(R))
+        for lo in range(0, len(R), _TILE):
+            T = R[lo : lo + _TILE].T.copy()  # (2n, tile), contiguous
+            np.square(T, out=T)
+            var[lo : lo + _TILE] = _quad(T[:n], sxx2) + _quad(T[n:], spp2)
+        return var
+
+    def settle(T, gval, cap, settled):
+        """Mark settled each partition for which a column of T, the
+        transposed (2n, t) rows of positive-margin trials with G gval and
+        trial bound cap, surely scores above 0 in best, whatever the rounding.
+
+        The block sums through onehot differ from rank_one_bound's by under
+        5n eps S_t, so a trial whose sums pass gval + 1e-11 S_t + 2^-250 has
+        a computed B_I - G above 2^-251 up to n = 1000. It counts only with
+        sigma^2 in [2^-500, 2^500], which summing in another order cannot
+        move to 0 or inf, so its score cannot round to 0.
+        """
+        todo = np.flatnonzero(~settled)
+        cols = onehot[:, :, todo].reshape(n, -1)  # column b * len(todo) + j
+        sums = np.abs(np.einsum("it,ib->tb", T[:n] * T[n:], cols))  # no BLAS threads
+        bound = np.einsum("tbj->tj", sums.reshape(len(gval), onehot.shape[1], len(todo)))
+        wins = bound > (gval + 1e-11 * cap + 2.0**-250)[:, None]
+        rows = np.flatnonzero(wins.any(axis=1))
+        if rows.size:
+            var = _quad(np.square(T[:, rows]), sigma_sq)
+            settled[todo] |= wins[rows[(var >= 2.0**-500) & (var <= 2.0**500)]].any(axis=0)
+
+    def per_sigma(x, v):  # x / sigma, -inf where sigma is 0
+        return np.where(v > 0, x / np.sqrt(np.where(v > 0, v, 1.0)), -np.inf)
+
+    def best(R, gval, rows, var, qs):
+        """Per partition of qs: best score on rows of R, whose G is gval and
+        sigma^2 var, and the first row reaching it."""
+        top, at = np.full(len(qs), -np.inf), np.zeros(len(qs), dtype=int)
+        step = max(1, _BATCH // len(qs))
+        for lo in range(0, rows.size, step):
+            r, v = rows[lo : lo + step], var[lo : lo + step]
+            sc = per_sigma(rank_one_bound(R[r, :n], R[r, n:], qs) - gval[r], v)
+            k = sc.argmax(axis=1)  # first maximum: lowest trial index
+            val = sc[np.arange(len(qs)), k]
+            up = val > top
+            top[up], at[up] = val[up], r[k[up]]
+        return top, at
+
+    # Each worker takes one row of spare, for a tile's draws, their
+    # transpose and A V, and reuses it for every full tile of its batches:
+    # tiles or batches that allocated and freed their own would hand the
+    # memory back to the system and fault it in again, tile after tile.
+    spare, mine = list(np.empty((workers, 5 * n * min(_TILE, trials)))), threading.local()
+
+    def run_batch(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         size = min(_BATCH, trials - b * _BATCH)
-        Z = _batch_rng(seed, b).standard_normal((size, 2 * n))
-        gval, margin = np.empty((2, size))
+        if not hasattr(mine, "row"):
+            mine.row = spare.pop()
+        tile = min(_TILE, size)
+        buf = mine.row[: 2 * n * tile].reshape(tile, 2 * n)
+        work = mine.row[2 * n * tile : 5 * n * tile].reshape(3 * n, tile)
+        gen = _batch_rng(seed, b)
+        Z = gval = margin = None  # the whole batch, while some partition is unsettled
+        settled, done, kept = np.zeros(len(parts), dtype=bool), False, []
         for lo in range(0, size, _TILE):
-            T, tile = Z[lo : lo + _TILE].T.copy(), slice(lo, lo + _TILE)
-            gval[tile] = _quad(T[:n], gxx) + _quad(T[n:], gpp)
-            margin[tile] = _trial_bound(T[:n].T, T[n:].T) - gval[tile]
+            D = buf[: size - lo] if Z is None else Z[lo : lo + _TILE]
+            gen.standard_normal(out=D)
+            if len(D) == len(buf):  # T is the (2n, tile) transpose, contiguous
+                T, AV, HG = work[: 2 * n], work[2 * n :], work[2 * n :].T
+                np.copyto(T, D.T)
+            else:  # a partial tile, the last of the last batch
+                T, AV, HG = D.T.copy(), None, None
+            g = _quad(T[:n], gxx, AV) + _quad(T[n:], gpp, AV)
+            cap = _trial_bound(T[:n].T, T[n:].T, HG)
+            pos = np.flatnonzero(cap > g)  # margin cap - g > 0
+            kept.append((D.take(pos, axis=0), g.take(pos), lo + pos))
+            if done:
+                continue
+            if Z is not None:
+                gval[lo : lo + _TILE], margin[lo : lo + _TILE] = g, cap - g
+            head = pos[:few]
+            settle(T[:, head], g[head], cap[head], settled)
+            done = settled.all()
+            if done:
+                Z = gval = margin = None
+            elif Z is None:
+                Z, (gval, margin) = np.empty((size, 2 * n)), np.empty((2, size))
+                Z[: len(D)], gval[: len(D)], margin[: len(D)] = D, g, cap - g
 
-        def sigma(rows):  # sigma^2 of rows, _TILE rows at a time
-            var = np.empty(rows.size)
-            for lo in range(0, rows.size, _TILE):
-                T = Z[rows[lo : lo + _TILE]].T.copy()  # (2n, tile), contiguous
-                np.square(T, out=T)
-                var[lo : lo + _TILE] = _quad(T[:n], sxx2) + _quad(T[n:], spp2)
-            return var
-
-        def per_sigma(x, v):  # x / sigma, -inf where sigma is 0
-            return np.where(v > 0, x / np.sqrt(np.where(v > 0, v, 1.0)), -np.inf)
-
-        def best(rows, var, qs):
-            """Per partition of qs: best score on rows, whose sigma^2 is var,
-            and the first row reaching it."""
-            top, at = np.full(len(qs), -np.inf), np.zeros(len(qs), dtype=int)
-            step = max(1, _BATCH // len(qs))
-            for lo in range(0, rows.size, step):
-                r, v = rows[lo : lo + step], var[lo : lo + step]
-                sc = per_sigma(rank_one_bound(Z[r, :n], Z[r, n:], qs) - gval[r], v)
-                k = sc.argmax(axis=1)  # first maximum: lowest trial index
-                val = sc[np.arange(len(qs)), k]
-                up = val > top
-                top[up], at[up] = val[up], r[k[up]]
-            return top, at
-
-        pos = np.flatnonzero(margin > 0)
-        top, at = best(pos, sigma(pos), parts)
-        fall = np.flatnonzero(~(top > 0))
-        if fall.size:
+        R, gpos, trial = (np.concatenate(a) for a in zip(*kept))
+        del kept  # the per-tile copies, before scoring
+        top, at = best(R, gpos, np.arange(len(R)), sigma(R), parts)
+        won = top > 0
+        rows, index = np.zeros((len(parts), 2 * n)), np.zeros(len(parts), dtype=int)
+        rows[won], index[won] = R[at[won]], trial[at[won]]
+        fall = np.flatnonzero(~won)
+        if fall.size:  # never on a settled batch
             qs = [parts[j] for j in fall]
-            var = sigma(np.arange(size))
+            var = sigma(Z)
             upper = per_sigma(margin, var)
             probe = np.argpartition(upper, size - min(_PROBE, size))[-_PROBE:]
-            theta = best(probe, var[probe], qs)[0].min()
+            theta = best(Z, gval, probe, var[probe], qs)[0].min()
             cand = np.flatnonzero(upper >= theta)
-            top[fall], at[fall] = best(cand, var[cand], qs)
-        return list(zip(top.tolist(), (b * _BATCH + at).tolist(), Z[at, :n], Z[at, n:]))
+            top[fall], at = best(Z, gval, cand, var[cand], qs)
+            rows[fall], index[fall] = Z[at], at
+        return top, b * _BATCH + index, rows
+
+    # The running best per partition, keyed (score, -trial index): a total
+    # order, so batches merge in any order to the same winners.
+    top, first = np.full(len(parts), -np.inf), np.zeros(len(parts), dtype=int)
+    winners, lock = np.zeros((len(parts), 2 * n)), threading.Lock()
+
+    def merge(b: int) -> None:
+        score, index, rows = run_batch(b)
+        with lock:
+            up = (score > top) | ((score == top) & (index < first))
+            top[up], first[up], winners[up] = score[up], index[up], rows[up]
 
     if workers == 1:
-        results = [run_batch(b) for b in batches]
+        for b in batches:
+            merge(b)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_batch, batches))
-    reports = []
-    for j, q in enumerate(parts):
-        score, _, h, g = max((r[j] for r in results), key=lambda r: (r[0], -r[1]))
-        if score == -np.inf:
-            raise ZeroSigma("every trial had zero sigma; check the error model")
-        reports.append(_report(WitnessPair.rank_one(h, g), s, q, True))
+            list(pool.map(merge, batches))
+    if np.any(top == -np.inf):
+        raise ZeroSigma("every trial had zero sigma; check the error model")
+    reports = [
+        _report(WitnessPair.rank_one(hg[:n], hg[n:]), s, q, True)
+        for q, hg in zip(parts, winners)
+    ]
     return reports[0] if isinstance(p, Partition) else reports
 
 

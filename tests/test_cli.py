@@ -164,6 +164,22 @@ def test_bound_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["33", "1000000"])
+def test_symmetric_witness_beyond_32_modes_is_a_usage_error(capsys, n):
+    # The package is built for n <= 32. A million modes used to die of a
+    # MemoryError in np.ones with exit code 1, the code for "certified".
+    code, out, err = run(capsys, "bound", "--symmetric-witness", n)
+    assert (code, out) == (2, "")
+    assert f"2 <= n <= 32, got {n}" in err
+
+
+def test_symmetric_witness_of_32_modes_runs(capsys):
+    # Its quantum bound has the closed form (n - 1) sqrt(n (n - 2)).
+    code, out, _ = run(capsys, "bound", "--symmetric-witness", "32")
+    assert code == 0
+    assert out == f"quantum bound B(X, P) = {31 * np.sqrt(32 * 30):.5f}\n"
+
+
 def test_superscript_digit_label_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, "bound", "--symmetric-witness", "2", "--partition", "1|\u00b2"

@@ -8,6 +8,7 @@ bound cannot rule out, so agreement with the oracle checks the pruning.
 """
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -390,3 +391,122 @@ def test_new_paths_stay_near_one_draw(request, name):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * draw, peak / draw
+
+
+TILE = 4096
+
+
+def _oracle_settle_tiles(state, parts, seed: int, trials: int) -> list:
+    # Per batch, the 4096-trial tile by whose end every partition has had a
+    # trial that scores above 0 (B_I > G and sigma > 0), or None if the batch
+    # never gets there.
+    n, tiles = state.n, []
+    for b in range((trials + BATCH - 1) // BATCH):
+        gen = np.random.Generator(np.random.Philox(key=[seed, b]))
+        Z = gen.standard_normal((min(BATCH, trials - b * BATCH), 2 * n))
+        H, G = Z[:, :n], Z[:, n:]
+        gval = ((H @ state.gamma_xx) * H).sum(axis=1)
+        gval += ((G @ state.gamma_pp) * G).sum(axis=1)
+        H2, G2 = H**2, G**2
+        var = ((H2 @ state.sigma_xx**2) * H2).sum(axis=1)
+        var += ((G2 @ state.sigma_pp**2) * G2).sum(axis=1)
+        first = []
+        for p in parts:
+            bound = np.zeros(len(Z))
+            for block in p.blocks:
+                cols = [i - 1 for i in block]
+                bound += np.abs((H[:, cols] * G[:, cols]).sum(axis=1))
+            hits = np.flatnonzero((bound > gval) & (var > 0))
+            first.append(int(hits[0]) if hits.size else None)
+        tiles.append(None if None in first else max(first) // TILE)
+    return tiles
+
+
+def _settle_case(request, name: str):
+    if name in ("klev4", "vacuum4"):
+        return request.getfixturevalue(name), bipartitions(4), 1
+    if name == "late":
+        return _six_mode_state(), bipartitions(6), 1
+    return _network_state(6, 29), bipartitions(6), 3
+
+
+@pytest.mark.parametrize("name", ["klev4", "late", "never-and-late", "vacuum4"])
+def test_winners_match_oracle_whenever_batches_settle(request, name):
+    # A batch keeps its whole draw only until every partition has a trial
+    # that scores above 0; after that, only its positive-margin trials. The
+    # trials cross tile and batch edges, and the last batch is one trial past
+    # a tile. klev4 settles every batch in tile 0, the six-mode state settles
+    # batch 0 at a later tile, the next state has one full batch that never
+    # settles and one that does, and vacuum4 never settles.
+    state, parts, seed = _settle_case(request, name)
+    trials = 2 * BATCH + 4097
+    tiles = _oracle_settle_tiles(state, parts, seed, trials)
+    full = tiles[:2]  # the two 65536-trial batches
+    if name == "klev4":
+        assert tiles == [0, 0, 0]
+    elif name == "late":
+        assert tiles[0] is not None and tiles[0] > 0
+    elif name == "never-and-late":
+        assert None in full and any(t is not None and t > 0 for t in full)
+    else:
+        assert tiles == [None, None, None]
+    winners = _oracle_winners(state, parts, seed, trials)
+    for threads in (1, 2):
+        reports = random_rank_one_search(
+            state, parts, trials=trials, seed=seed, threads=threads
+        )
+        for r, (h, g, _) in zip(reports, winners):
+            assert np.array_equal(r.witness.h, h), (r.partition.text, threads)
+            assert np.array_equal(r.witness.g, g), (r.partition.text, threads)
+
+
+def test_settled_batch_holds_about_one_tile(klev4):
+    # klev4 settles its batch in tile 0, so the batch keeps only its 3% of
+    # positive-margin trials and one reused scratch row, not the 65536 x 8
+    # draw (1.5 draws at the peak when it kept the draw).
+    assert _oracle_settle_tiles(klev4, bipartitions(4), 13, BATCH) == [0]
+    draw = BATCH * 8 * 8
+    tracemalloc.start()
+    try:
+        random_rank_one_search(klev4, bipartitions(4), trials=BATCH, seed=13, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * draw, peak / draw
+
+
+def test_winners_held_do_not_grow_with_the_batch_count(monkeypatch):
+    # Each batch's winners over 511 cuts are about 0.25 MB. Every batch here
+    # repeats batch 0's draw, so each batch peaks alike, and 8 batches may
+    # not peak above 2 by more than a fraction of one batch's winners.
+    original = witness._batch_rng
+    monkeypatch.setattr(witness, "_batch_rng", lambda seed, b: original(seed, 0))
+    state, parts = _network_state(10, 5), bipartitions(10)
+    peaks = []
+    for batches in (2, 8):
+        tracemalloc.start()
+        try:
+            random_rank_one_search(
+                state, parts, trials=batches * BATCH, seed=3, threads=1
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**16, peaks
+
+
+def test_merging_winners_from_more_threads_than_cores(klev4):
+    # Eight workers on nine batches, switching threads every microsecond: an
+    # update of the running best lost between two workers would change some
+    # cut's winner.
+    parts = _parts()
+    draws = dict(trials=8 * BATCH + 1, seed=21)
+    want = random_rank_one_search(klev4, parts, **draws, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = random_rank_one_search(klev4, parts, **draws, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, want):
+        _assert_same(a, b)
